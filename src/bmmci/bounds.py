@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .chernoff import bernoulli_ci, chernoff_info
+from .chernoff import bernoulli_ci, chernoff_info, two_point_ci
 from .exceptions import InvalidInputError, UnsupportedRegimeError
 from .mixtures import BinaryMatrix, FlipProfile, mixture_distribution
-from .reductions import MatrixPair
+from .reductions import MatrixPair, epsilon_gap
 
 REGIME_LOW_NOISE_ODD = "low_noise_odd"
 REGIME_LOW_NOISE_EVEN = "low_noise_even"
@@ -75,12 +75,17 @@ class ExtremalPair:
     upper_bound: float
 
 
-def _sym_bound(x: float) -> float:
-    # -log sqrt(1 - x^2); infinite at |x| = 1.
-    x = abs(x)
-    if x >= 1.0:
-        return math.inf
-    return -0.5 * math.log1p(-x * x)
+def _eta(flip: float, n_rows: int) -> float:
+    """Low-noise Bernoulli gap (1 - 2f) / N."""
+    return (1.0 - 2.0 * flip) / n_rows
+
+
+def _even_n_upper(n_rows: int, flip: float) -> float:
+    """Closed-form upper bound certified by the even-N pair (low noise)."""
+    eta_prev = _eta(flip, n_rows - 1)
+    inner = (1.0 / n_rows
+             + (n_rows - 1) / n_rows * math.sqrt(max(0.0, 1.0 - eta_prev ** 2)))
+    return -math.log(inner) if inner > 0.0 else math.inf
 
 
 def active_width(n_rows: int, n_cols: int) -> int:
@@ -130,25 +135,21 @@ def worst_case_ci_bounds(n_rows: int, n_cols: int, flip: float) -> BoundReport:
 
     cal = active_width(n_rows, n_cols)
     k, r = decompose(n_rows, cal)
-    epsilon = (2.0 * (1.0 - 2.0 * flip)) ** cal / (2.0 * n_rows)
+    epsilon = epsilon_gap(flip, cal, n_rows)
 
     if flip <= 0.25:
-        eta = (1.0 - 2.0 * flip) / n_rows
-        lower = _sym_bound(eta)
+        eta = _eta(flip, n_rows)
+        lower = two_point_ci(eta)
         deco = Decomposition(cal=cal, k=k, r=r, epsilon=epsilon, eta=eta)
         if n_rows % 2 == 1:
             return BoundReport(lower=lower, upper=lower,
                                regime=REGIME_LOW_NOISE_ODD, tight=True,
                                decomposition=deco, f_folded=folded)
-        eta_prev = (1.0 - 2.0 * flip) / (n_rows - 1)
-        inner = (1.0 / n_rows
-                 + (n_rows - 1) / n_rows * math.sqrt(max(0.0, 1.0 - eta_prev ** 2)))
-        upper = -math.log(inner) if inner > 0.0 else math.inf
-        return BoundReport(lower=lower, upper=upper,
+        return BoundReport(lower=lower, upper=_even_n_upper(n_rows, flip),
                            regime=REGIME_LOW_NOISE_EVEN, tight=False,
                            decomposition=deco, f_folded=folded)
 
-    lower = _sym_bound(epsilon)
+    lower = two_point_ci(epsilon)
     # With no remainder the two formulas coincide; reuse the lower value so
     # a tight report is exactly self-consistent.
     upper = lower if r == 0 else _high_noise_upper(n_rows, r, epsilon)
@@ -193,7 +194,7 @@ def worst_case_ci_bounds_profile(n_rows: int, n_cols: int,
         product *= 1.0 - 2.0 * f
     epsilon = (1 << (cal - 1)) * product / n_rows
 
-    lower = _sym_bound(epsilon)
+    lower = two_point_ci(epsilon)
     upper = lower if r == 0 else _high_noise_upper(n_rows, r, epsilon)
     deco = Decomposition(cal=cal, k=k, r=r, epsilon=epsilon, eta=None)
     return BoundReport(lower=lower, upper=upper, regime=REGIME_GENERALIZED,
@@ -222,8 +223,7 @@ def build_hamming_one_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPai
         b=BinaryMatrix(rows_b, n_cols),
         profile=FlipProfile.constant(flip, n_cols),
     )
-    eta = (1.0 - 2.0 * flip) / n_rows
-    value = _sym_bound(eta)
+    value = two_point_ci(_eta(flip, n_rows))
     return ExtremalPair(pair=pair, predicted_ci=value,
                         construction=CONSTRUCTION_HAMMING_ONE,
                         upper_bound=value)
@@ -249,15 +249,10 @@ def build_even_n_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPair:
         b=BinaryMatrix(rows_b, n_cols),
         profile=FlipProfile.constant(flip, n_cols),
     )
-    eta = (1.0 - 2.0 * flip) / n_rows
-    value = bernoulli_ci(0.5, 0.5 + eta)
-    eta_prev = (1.0 - 2.0 * flip) / (n_rows - 1)
-    inner = ((n_rows - 1) / n_rows * math.sqrt(max(0.0, 1.0 - eta_prev ** 2))
-             + 1.0 / n_rows)
-    upper = -math.log(inner) if inner > 0.0 else math.inf
+    value = bernoulli_ci(0.5, 0.5 + _eta(flip, n_rows))
     return ExtremalPair(pair=pair, predicted_ci=value,
                         construction=CONSTRUCTION_EVEN_ALMOST,
-                        upper_bound=upper)
+                        upper_bound=_even_n_upper(n_rows, flip))
 
 
 def parity_words(width: int, parity: int) -> tuple[int, ...]:
@@ -289,10 +284,10 @@ def build_parity_split_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPa
         b=BinaryMatrix(rows_b, n_cols),
         profile=FlipProfile.constant(flip, n_cols),
     )
-    epsilon = (2.0 * (1.0 - 2.0 * flip)) ** cal / (2.0 * n_rows)
+    epsilon = epsilon_gap(flip, cal, n_rows)
     upper = _high_noise_upper(n_rows, r, epsilon)
     if r == 0:
-        value = _sym_bound(epsilon)
+        value = two_point_ci(epsilon)
     else:
         value = _reduced_pair_ci(rows_a, rows_b, cal, shift, flip)
     return ExtremalPair(pair=pair, predicted_ci=value,
@@ -325,7 +320,6 @@ def phase_sweep(n_rows: int, n_cols: int,
     for f in f_grid:
         if not 0.0 <= f <= 0.5:
             raise InvalidInputError(f"sweep flip rate {f!r} outside [0, 0.5]")
-        eta = (1.0 - 2.0 * f) / n_rows
-        epsilon = (2.0 * (1.0 - 2.0 * f)) ** cal / (2.0 * n_rows)
-        out.append((f, _sym_bound(eta), _sym_bound(epsilon)))
+        out.append((f, two_point_ci(_eta(f, n_rows)),
+                    two_point_ci(epsilon_gap(f, cal, n_rows))))
     return out

@@ -3,9 +3,21 @@
 The Chernoff information is ``-min over lambda in [0,1] of log f_lambda``
 with ``f_lambda = sum_x p1(x)^lambda p2(x)^(1-lambda)``.  ``log f_lambda``
 is convex in lambda (each term is log-linear), so a golden-section search
-finds the minimizer reliably.  Endpoint values are the one-sided limits:
+finds the minimizer reliably.  ``chernoff_info_batch`` is the one solver;
+``chernoff_info`` runs it on a batch of one.
+
+Zero probabilities enter as ``-inf`` log-probabilities.  Only the common
+support contributes to ``f_lambda``: inside (0, 1) a term with a zero on
+either side vanishes.  At the endpoints ``f_lambda`` is the one-sided limit,
 ``f_0 = sum over {x : p1(x) > 0} of p2(x)`` and symmetrically for ``f_1``,
-which restricting every sum to the common support produces automatically.
+and a pair whose supports differ may attain its minimum there.  Pairs with
+disjoint supports have infinite Chernoff information.
+
+Every search takes a fixed ``STEPS = 60`` golden-section steps, which shrink
+the lambda bracket from 1 to ``0.618**60``, about 2.9e-13, below
+``LAMBDA_TOL``.  ``ChernoffResult.iterations`` is ``STEPS``, or 0 when the
+value is settled without a search (identical distributions, disjoint
+supports); ``converged`` says the final bracket is within ``LAMBDA_TOL``.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = 1.0 - _INVPHI
 
 LAMBDA_TOL = 1e-12
-MAX_ITER = 200
+STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -46,55 +58,77 @@ def _as_probs(dist) -> np.ndarray:
     return np.asarray(dist, dtype=float)
 
 
-def _log_f(lp1: np.ndarray, lp2: np.ndarray, lam: float) -> float:
-    t = lam * lp1 + (1.0 - lam) * lp2
-    tmax = t.max()
-    return float(tmax + np.log(np.exp(t - tmax).sum()))
+def _logsumexp(t: np.ndarray) -> np.ndarray:
+    """Row-wise ``log sum exp`` of a 2-D array with a finite maximum per row."""
+    tmax = t.max(axis=1, keepdims=True)
+    return tmax[:, 0] + np.log(np.exp(t - tmax).sum(axis=1))
 
 
-def _chernoff_raw(p1: np.ndarray, p2: np.ndarray) -> ChernoffResult:
-    # Distributions identical within 1e-12 per component carry no
-    # distinguishing information; report exactly zero.
-    if np.abs(p1 - p2).max() <= 1e-12:
-        return ChernoffResult(value=0.0, lambda_star=0.5,
-                              iterations=0, converged=True)
-    common = (p1 > 0.0) & (p2 > 0.0)
-    if not common.any():
-        return ChernoffResult(value=math.inf, lambda_star=0.5,
-                              iterations=0, converged=True)
-    lp1 = np.log(p1[common])
-    lp2 = np.log(p2[common])
+def chernoff_info_batch(logp1: np.ndarray, logp2: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Chernoff information for many pairs of distributions at once.
 
-    a, b = 0.0, 1.0
+    Inputs are log-probability arrays of shape (B, K), ``-inf`` where a
+    probability is zero.  Returns ``(values, lambda_stars)``; identical
+    pairs and pairs with disjoint supports report lambda 0.5.
+    """
+    n = logp1.shape[0]
+    values = np.full(n, math.inf)
+    lams = np.full(n, 0.5)
+    identical = np.all(logp1 == logp2, axis=1)
+    zero1, zero2 = np.isneginf(logp1), np.isneginf(logp2)
+    differ = np.any(zero1 != zero2, axis=1)
+    live = np.ones(n, dtype=bool)
+    if differ.any():
+        # -inf in both rows wherever either is zero, so each interior probe
+        # sums over the common support without a mask.
+        either = zero1 | zero2
+        live = ~np.all(either, axis=1)
+        logp1 = np.where(either, -np.inf, logp1)[live]
+        logp2 = np.where(either, -np.inf, logp2)[live]
+        differ = differ[live]
+    if not live.any():
+        return values, lams
+
+    def log_f(lam: np.ndarray) -> np.ndarray:
+        return _logsumexp(lam[:, None] * logp1 + (1.0 - lam[:, None]) * logp2)
+
+    a = np.zeros(logp1.shape[0])
+    b = np.ones(logp1.shape[0])
     c = a + _INVPHI2 * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = _log_f(lp1, lp2, c)
-    fd = _log_f(lp1, lp2, d)
-    iterations = 0
-    while b - a > LAMBDA_TOL and iterations < MAX_ITER:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = a + _INVPHI2 * (b - a)
-            fc = _log_f(lp1, lp2, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = _log_f(lp1, lp2, d)
-        iterations += 1
+    fc = log_f(c)
+    fd = log_f(d)
+    for _ in range(STEPS):
+        shrink_right = fc < fd
+        b = np.where(shrink_right, d, b)
+        a = np.where(shrink_right, a, c)
+        c_old, fc_old = c, fc
+        d_old, fd_old = d, fd
+        h = b - a
+        c = np.where(shrink_right, a + _INVPHI2 * h, d_old)
+        d = np.where(shrink_right, c_old, a + _INVPHI * h)
+        probe = np.where(shrink_right, c, d)
+        f_new = log_f(probe)
+        fc = np.where(shrink_right, f_new, fd_old)
+        fd = np.where(shrink_right, fc_old, f_new)
 
     lam = 0.5 * (a + b)
-    candidates = [
-        (_log_f(lp1, lp2, lam), lam),
-        (_log_f(lp1, lp2, 0.0), 0.0),
-        (_log_f(lp1, lp2, 1.0), 1.0),
-    ]
-    log_f_min, lam_star = min(candidates, key=lambda t: t[0])
-    value = max(0.0, -log_f_min)
-    if value == 0.0:
-        lam_star = 0.5
-    return ChernoffResult(value=value, lambda_star=lam_star,
-                          iterations=iterations,
-                          converged=(b - a) <= LAMBDA_TOL)
+    log_f_min = log_f(lam)
+    if differ.any():
+        # Only where the supports differ can an endpoint limit lie below the
+        # interior; ties go to the midpoint, then lambda 0, then lambda 1.
+        rows = np.flatnonzero(differ)
+        cand = np.stack([log_f_min[rows], _logsumexp(logp2[rows]),
+                         _logsumexp(logp1[rows])])
+        pick = cand.argmin(axis=0)
+        log_f_min[rows] = cand[pick, np.arange(rows.size)]
+        lam[rows] = np.choose(pick, (lam[rows], 0.0, 1.0))
+    values[live] = np.maximum(0.0, -log_f_min) + 0.0  # +0.0 normalizes -0.0
+    lams[live] = lam
+    values[identical] = 0.0
+    lams[values == 0.0] = 0.5
+    return values, lams
 
 
 def f_lambda(p1, p2, lam: float) -> float:
@@ -110,8 +144,8 @@ def f_lambda(p1, p2, lam: float) -> float:
     common = (a1 > 0.0) & (a2 > 0.0)
     if not common.any():
         return 0.0
-    value = math.exp(_log_f(np.log(a1[common]), np.log(a2[common]), lam))
-    return min(1.0, value)
+    t = lam * np.log(a1[common]) + (1.0 - lam) * np.log(a2[common])
+    return min(1.0, math.exp(_logsumexp(t[None])[0]))
 
 
 def chernoff_info(p1, p2) -> ChernoffResult:
@@ -119,7 +153,15 @@ def chernoff_info(p1, p2) -> ChernoffResult:
     a1, a2 = _as_probs(p1), _as_probs(p2)
     if a1.shape != a2.shape:
         raise InvalidInputError(f"dimension mismatch: {a1.shape} vs {a2.shape}")
-    return _chernoff_raw(a1, a2)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.stack([a1, a2]))
+    values, lams = chernoff_info_batch(logs[:1], logs[1:])
+    value = float(values[0])
+    # Disjoint supports are the only infinite case.
+    settled = math.isinf(value) or np.array_equal(a1, a2)
+    return ChernoffResult(value=value, lambda_star=float(lams[0]),
+                          iterations=0 if settled else STEPS,
+                          converged=settled or _INVPHI ** STEPS <= LAMBDA_TOL)
 
 
 def bernoulli_ci(p: float, q: float) -> float:
@@ -127,7 +169,17 @@ def bernoulli_ci(p: float, q: float) -> float:
     for name, value in (("p", p), ("q", q)):
         if not 0.0 <= value <= 1.0 or value != value:
             raise InvalidInputError(f"{name}={value!r} outside [0, 1]")
-    return _chernoff_raw(np.array([1.0 - p, p]), np.array([1.0 - q, q])).value
+    return chernoff_info([1.0 - p, p], [1.0 - q, q]).value
+
+
+def two_point_ci(x: float) -> float:
+    """``-log sqrt(1 - x^2)``, the value ``symmetric_ci`` checks and returns.
+
+    Takes any real gap; infinite at ``|x| >= 1``.
+    """
+    if abs(x) >= 1.0:
+        return math.inf
+    return -0.5 * math.log1p(-x * x)
 
 
 def symmetric_ci(epsilon: float) -> float:
@@ -137,49 +189,4 @@ def symmetric_ci(epsilon: float) -> float:
     """
     if not 0.0 <= epsilon <= 1.0 or epsilon != epsilon:
         raise InvalidInputError(f"epsilon={epsilon!r} outside [0, 1]")
-    if epsilon == 1.0:
-        return math.inf
-    return -0.5 * math.log1p(-epsilon * epsilon)
-
-
-def chernoff_info_batch(logp1: np.ndarray, logp2: np.ndarray,
-                        n_iter: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Chernoff information for many fully supported pairs.
-
-    Inputs are finite log-probability arrays of shape (B, K).  60 golden
-    section steps shrink the lambda bracket below 1e-12.  Returns
-    ``(values, lambda_stars)``; identical pairs report lambda 0.5.
-    """
-
-    def log_f(lam: np.ndarray) -> np.ndarray:
-        t = lam[:, None] * logp1 + (1.0 - lam[:, None]) * logp2
-        tmax = t.max(axis=1, keepdims=True)
-        return (tmax[:, 0] + np.log(np.exp(t - tmax).sum(axis=1)))
-
-    n = logp1.shape[0]
-    a = np.zeros(n)
-    b = np.ones(n)
-    c = a + _INVPHI2 * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = log_f(c)
-    fd = log_f(d)
-    for _ in range(n_iter):
-        shrink_right = fc < fd
-        b = np.where(shrink_right, d, b)
-        a = np.where(shrink_right, a, c)
-        c_old, fc_old = c, fc
-        d_old, fd_old = d, fd
-        h = b - a
-        c = np.where(shrink_right, a + _INVPHI2 * h, d_old)
-        d = np.where(shrink_right, c_old, a + _INVPHI * h)
-        probe = np.where(shrink_right, c, d)
-        f_new = log_f(probe)
-        fc = np.where(shrink_right, f_new, fd_old)
-        fd = np.where(shrink_right, fc_old, f_new)
-
-    lam = 0.5 * (a + b)
-    values = np.maximum(0.0, -log_f(lam)) + 0.0  # +0.0 normalizes -0.0
-    identical = np.all(logp1 == logp2, axis=1)
-    values = np.where(identical, 0.0, values)
-    lam = np.where(values == 0.0, 0.5, lam)
-    return values, lam
+    return two_point_ci(epsilon)

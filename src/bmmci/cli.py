@@ -1,9 +1,10 @@
 """Command-line front end: parse inputs, dispatch, emit JSON/CSV reports.
 
 Exit codes: 0 on success, 2 on usage or input errors, 3 when an enumeration
-cap is exceeded, 1 on estimation failures.  Reports are deterministic byte
-for byte given the same arguments and seed: floats are printed with 17
-significant digits and infinities as the string "inf".
+cap is exceeded, 1 on estimation failures, 4 when ``verify`` finds the oracle
+minimum outside the bounds (the report is still written).  Reports are
+deterministic byte for byte given the same arguments and seed: floats are
+printed with 17 significant digits and infinities as the string "inf".
 """
 
 from __future__ import annotations
@@ -349,14 +350,15 @@ def _cmd_verify(args) -> int:
     }
     report.update(_bound_report_dict(bound_report))
     _emit(dumps_report(report) + "\n", args.out)
-    return 0
+    return 4 if status == "bound-violation" else 0
 
 
 def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--flip", type=float,
-                        help="constant flip probability for every column")
-    parser.add_argument("--flips",
-                        help="comma-separated per-column flip probabilities")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--flip", type=float,
+                       help="constant flip probability for every column")
+    group.add_argument("--flips",
+                       help="comma-separated per-column flip probabilities")
 
 
 def _add_common_output(parser: argparse.ArgumentParser) -> None:

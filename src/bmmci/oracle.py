@@ -18,7 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .chernoff import chernoff_info, chernoff_info_batch
+from .chernoff import chernoff_info  # noqa: F401  looked up by bench/spans.py
+from .chernoff import chernoff_info_batch
 from .exceptions import InvalidInputError, ResourceLimitError
 from .mixtures import BinaryMatrix, FlipProfile, channel_kernel, mixture_probs_table
 from .reductions import MatrixPair
@@ -57,6 +58,24 @@ def enumerate_matrices(n_rows: int, n_cols: int,
         yield BinaryMatrix(rows, n_cols)
 
 
+def family_table(n_rows: int, n_cols: int, profile: FlipProfile,
+                 max_matrices: int) -> tuple[list[BinaryMatrix], np.ndarray]:
+    """Every canonical source with its channel-output distribution.
+
+    Returns ``(matrices, probs)`` in enumeration order; ``probs[i]`` is the
+    mixture vector of ``matrices[i]`` over the 2**L outcome words.
+    """
+    matrices = list(enumerate_matrices(n_rows, n_cols, max_matrices))
+    rows_table = np.array([m.rows for m in matrices], dtype=np.int64)
+    return matrices, mixture_probs_table(rows_table, channel_kernel(profile))
+
+
+def _log_probs(probs: np.ndarray) -> np.ndarray:
+    # Zero probabilities become -inf, the solver's zero-support encoding.
+    with np.errstate(divide="ignore"):
+        return np.log(probs)
+
+
 @dataclass(frozen=True)
 class ClosestPairResult:
     """Exact minimum over all unordered pairs of distinct sources.
@@ -87,22 +106,7 @@ def _pair_chunks(n_items: int, chunk_pairs: int):
         yield np.concatenate(buf_i), np.concatenate(buf_j)
 
 
-def _evaluate_subset(probs, logs, ii, jj):
-    """Exact Chernoff information for the selected pairs."""
-    if ii.size == 0:
-        return np.empty(0), np.empty(0)
-    if logs is not None:
-        return chernoff_info_batch(logs[ii], logs[jj])
-    values = np.empty(ii.size)
-    lams = np.empty(ii.size)
-    for pos in range(ii.size):
-        res = chernoff_info(probs[ii[pos]], probs[jj[pos]])
-        values[pos] = res.value
-        lams[pos] = res.lambda_star
-    return values, lams
-
-
-def _scan_chunk(probs, logs, sqrt_probs, ii, jj, incumbent):
+def _scan_chunk(logs, sqrt_probs, ii, jj, incumbent):
     bhatta = np.einsum("ij,ij->i", sqrt_probs[ii], sqrt_probs[jj])
     cheap = np.maximum(0.0, -np.log(np.maximum(bhatta, 1e-300)))
 
@@ -115,7 +119,7 @@ def _scan_chunk(probs, logs, sqrt_probs, ii, jj, incumbent):
             mask = cheap <= best[0] + PRUNE_MARGIN
             mask[order] = False
             stage_idx = np.flatnonzero(mask)
-        vals, lams = _evaluate_subset(probs, logs, ii[stage_idx], jj[stage_idx])
+        vals, lams = chernoff_info_batch(logs[ii[stage_idx]], logs[jj[stage_idx]])
         for pos in range(stage_idx.size):
             key = (vals[pos], int(ii[stage_idx[pos]]), int(jj[stage_idx[pos]]))
             if key < best[:3]:
@@ -138,14 +142,11 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
         )
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
-    matrices = list(enumerate_matrices(n_rows, n_cols, max_matrices))
+    matrices, probs = family_table(n_rows, n_cols, profile, max_matrices)
     n = len(matrices)
     if n < 2:
         raise InvalidInputError("fewer than two candidate sources")
-    rows_table = np.array([m.rows for m in matrices], dtype=np.int64)
-    kernel = channel_kernel(profile)
-    probs = mixture_probs_table(rows_table, kernel)
-    logs = np.log(probs) if probs.min() > 0.0 else None
+    logs = _log_probs(probs)
     sqrt_probs = np.sqrt(probs)
 
     total_pairs = n * (n - 1) // 2
@@ -153,7 +154,7 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
     chunks = _pair_chunks(n, _CHUNK_PAIRS)
     if threads == 1:
         for ii, jj in chunks:
-            best = _scan_chunk(probs, logs, sqrt_probs, ii, jj, best)
+            best = _scan_chunk(logs, sqrt_probs, ii, jj, best)
             if best[0] == 0.0:
                 break
     else:
@@ -163,8 +164,8 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             pending = []
             for ii, jj in chunks:
-                pending.append(pool.submit(_scan_chunk, probs, logs,
-                                           sqrt_probs, ii, jj, best))
+                pending.append(pool.submit(_scan_chunk, logs, sqrt_probs,
+                                           ii, jj, best))
                 if len(pending) >= threads:
                     best = min([best] + [f.result() for f in pending])
                     pending = []
@@ -195,25 +196,16 @@ def exact_error_exponent(truth: BinaryMatrix, profile: FlipProfile,
         raise InvalidInputError(
             f"profile length {len(profile)} != column count {truth.n_cols}"
         )
-    matrices = list(enumerate_matrices(truth.n_rows, truth.n_cols, max_matrices))
-    rows_table = np.array([m.rows for m in matrices], dtype=np.int64)
-    kernel = channel_kernel(profile)
-    probs = mixture_probs_table(rows_table, kernel)
+    matrices, probs = family_table(truth.n_rows, truth.n_cols, profile,
+                                   max_matrices)
+    logs = _log_probs(probs)
     truth_idx = matrices.index(truth)
-
-    others = [idx for idx in range(len(matrices)) if idx != truth_idx]
-    if probs.min() > 0.0:
-        logs = np.log(probs)
-        values, _ = chernoff_info_batch(logs[others],
-                                        np.broadcast_to(logs[truth_idx],
-                                                        (len(others),
-                                                         logs.shape[1])))
-        values = list(values)
-    else:
-        values = [chernoff_info(probs[idx], probs[truth_idx]).value
-                  for idx in others]
-    best_pos = min(range(len(others)), key=lambda t: (values[t], others[t]))
-    return float(values[best_pos]), matrices[others[best_pos]]
+    others = np.delete(np.arange(len(matrices)), truth_idx)
+    values, _ = chernoff_info_batch(
+        logs[others], np.broadcast_to(logs[truth_idx], (others.size, logs.shape[1])))
+    # argmin keeps the first minimum, the lexicographically first source.
+    best = int(np.argmin(values))
+    return float(values[best]), matrices[others[best]]
 
 
 def random_pair_stream(n_rows: int, n_cols: int, count: int, seed: int,

@@ -11,11 +11,10 @@ into a closed-form lower bound on the original Chernoff information.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .chernoff import chernoff_info
+from .chernoff import chernoff_info, two_point_ci
 from .exceptions import ContractViolationError, InvalidInputError
 from .mixtures import (
     BinaryMatrix,
@@ -59,6 +58,12 @@ def pair_ci(pair: MatrixPair) -> float:
     p1 = mixture_distribution(pair.a, pair.profile)
     p2 = mixture_distribution(pair.b, pair.profile)
     return chernoff_info(p1, p2).value
+
+
+def epsilon_gap(flip: float, width: int, n_rows: int) -> float:
+    """Bernoulli gap ``[2(1-2f)]^width / (2N)`` left by ``width`` surviving
+    columns of an N-row pair under constant flip rate f."""
+    return (2.0 * (1.0 - 2.0 * flip)) ** width / (2.0 * n_rows)
 
 
 def g_map(f: float) -> float:
@@ -381,10 +386,6 @@ def reduction_lower_bound(pair: MatrixPair) -> float:
         )
     if pair.a == pair.b:
         raise InvalidInputError("bound is defined for unequal pairs")
-    f = pair.profile.flips[0]
-    alpha = full_reduction(pair).alpha
-    survivors = pair.n_cols - alpha
-    gap = (2.0 * (1.0 - 2.0 * f)) ** survivors / (2.0 * pair.a.n_rows)
-    if gap >= 1.0:
-        return math.inf
-    return -0.5 * math.log1p(-gap * gap)
+    survivors = pair.n_cols - full_reduction(pair).alpha
+    return two_point_ci(epsilon_gap(pair.profile.flips[0], survivors,
+                                    pair.a.n_rows))

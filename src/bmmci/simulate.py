@@ -16,8 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import EstimationError, InvalidInputError
-from .mixtures import BinaryMatrix, FlipProfile, channel_kernel, mixture_probs_table
-from .oracle import DEFAULT_MAX_MATRICES, enumerate_matrices
+from .mixtures import BinaryMatrix, FlipProfile
+from .mixtures import mixture_probs_table  # noqa: F401  looked up by bench/spans.py
+from .oracle import DEFAULT_MAX_MATRICES, family_table
+from .oracle import enumerate_matrices  # noqa: F401  looked up by bench/spans.py
 
 _Z95 = 1.959963984540054
 # Trials are generated in fixed-size blocks, each on its own spawned
@@ -99,9 +101,7 @@ def sample_observations(truth: BinaryMatrix, profile: FlipProfile, m: int,
 
 def _candidate_tables(n_rows: int, n_cols: int, profile: FlipProfile,
                       max_matrices: int):
-    matrices = list(enumerate_matrices(n_rows, n_cols, max_matrices))
-    rows_table = np.array([m.rows for m in matrices], dtype=np.int64)
-    probs = mixture_probs_table(rows_table, channel_kernel(profile))
+    matrices, probs = family_table(n_rows, n_cols, profile, max_matrices)
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
     log_probs = np.maximum(log_probs, _LOG_ZERO)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bmmci import (
     FlipProfile,
@@ -13,7 +15,26 @@ from bmmci import (
     mixture_distribution,
     symmetric_ci,
 )
+from bmmci.chernoff import STEPS, chernoff_info_batch
 from conftest import random_distribution
+
+
+def _logs(rows):
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(rows, dtype=float))
+
+
+@st.composite
+def _pairs_with_zeros(draw):
+    """Rows of small-integer weights, normalized, so zeros and ties are common."""
+    size = draw(st.integers(2, 6))
+    weights = st.lists(st.integers(0, 3), min_size=size,
+                       max_size=size).filter(any)
+    pairs = draw(st.lists(st.tuples(weights, weights), min_size=1, max_size=8))
+    p1 = np.array([a for a, _ in pairs], dtype=float)
+    p2 = np.array([b for _, b in pairs], dtype=float)
+    return (p1 / p1.sum(axis=1, keepdims=True),
+            p2 / p2.sum(axis=1, keepdims=True))
 
 
 class TestFLambda:
@@ -52,12 +73,14 @@ class TestChernoffInfo:
         res = chernoff_info(p, p)
         assert res.value == 0.0
         assert res.lambda_star == 0.5
+        assert res.iterations == 0
 
     def test_symmetric_bernoulli_closed_form(self):
         res = chernoff_info(np.array([0.75, 0.25]), np.array([0.25, 0.75]))
         assert res.value == pytest.approx(-0.5 * math.log(0.75), abs=1e-12)
         assert res.lambda_star == pytest.approx(0.5, abs=1e-6)
         assert res.converged
+        assert res.iterations == STEPS
 
     def test_single_column_mixture_pair(self):
         fp = FlipProfile((0.1,))
@@ -78,6 +101,7 @@ class TestChernoffInfo:
     def test_disjoint_supports_infinite(self):
         res = chernoff_info(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert math.isinf(res.value)
+        assert res.iterations == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
@@ -125,6 +149,33 @@ class TestChernoffInfo:
         assert res.lambda_star == pytest.approx(0.5, abs=1e-6)
         bhatta = -math.log(float(np.sqrt(p1.probs * p2.probs).sum()))
         assert res.value == pytest.approx(bhatta, abs=1e-10)
+
+
+class TestChernoffInfoBatch:
+    def test_disjoint_rows_are_infinite(self):
+        values, lams = chernoff_info_batch(_logs([[1.0, 0.0], [0.5, 0.5]]),
+                                           _logs([[0.0, 1.0], [0.5, 0.5]]))
+        assert math.isinf(values[0]) and lams[0] == 0.5
+        assert values[1] == 0.0 and lams[1] == 0.5
+
+    def test_endpoint_limit_is_exact(self):
+        values, lams = chernoff_info_batch(_logs([[1.0, 0.0]]),
+                                           _logs([[0.75, 0.25]]))
+        assert values[0] == -math.log(0.75)
+        assert lams[0] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pairs_with_zeros())
+    def test_agrees_with_scalar_on_zero_support(self, pair):
+        p1, p2 = pair
+        assume((p1 == 0.0).any() or (p2 == 0.0).any())
+        values, lams = chernoff_info_batch(_logs(p1), _logs(p2))
+        for row in range(p1.shape[0]):
+            res = chernoff_info(p1[row], p2[row])
+            assert (values[row] == 0.0) == (res.value == 0.0)
+            assert math.isinf(values[row]) == math.isinf(res.value)
+            assert values[row] == pytest.approx(res.value, rel=1e-12)
+            assert lams[row] == pytest.approx(res.lambda_star, abs=1e-9)
 
 
 class TestBernoulliCi:

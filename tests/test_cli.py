@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+import bmmci.cli
 from bmmci import FlipProfile, canonicalize, closest_pair, format_matrix_text
 from bmmci.cli import dumps_report, main
 
@@ -64,6 +66,13 @@ class TestCiCommand:
         a = write_matrix(tmp_path / "a.txt", [0], 1)
         code, _, err = run_cli(capsys, "ci", "--a", a, "--b", a)
         assert code == 2
+
+    def test_flip_and_flips_are_exclusive(self, tmp_path):
+        a = write_matrix(tmp_path / "a.txt", [0, 1], 2)
+        with pytest.raises(SystemExit) as err:
+            main(["ci", "--a", a, "--b", a, "--flip", "0.1",
+                  "--flips", "0.3,0.1"])
+        assert err.value.code == 2
 
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -198,6 +207,20 @@ class TestVerifyCommand:
                                "--flip", "0.1")
         report = json.loads(out)
         assert report["status"] == "within-bounds"
+
+    def test_bound_violation_exits_four(self, capsys, monkeypatch):
+        # The true minimum at N=3, L=2, f=0.1 is about 0.037 nats.
+        real = bmmci.cli.bounds_mod.worst_case_ci_bounds(3, 2, 0.1)
+        monkeypatch.setattr(
+            bmmci.cli.bounds_mod, "worst_case_ci_bounds",
+            lambda *args: dataclasses.replace(real, lower=1.0, upper=2.0,
+                                              tight=False))
+        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--l", "2",
+                               "--flip", "0.1")
+        assert code == 4
+        report = json.loads(out)
+        assert report["status"] == "bound-violation"
+        assert report["oracle_min_ci_nats"] < report["lower_nats"]
 
 
 class TestSimulateCommand:
