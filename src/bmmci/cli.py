@@ -36,6 +36,7 @@ from .oracle import DEFAULT_MAX_MATRICES, closest_pair, exact_error_exponent
 from .simulate import SimConfig, estimate_exponent
 
 SCHEMA_VERSION = 1
+_THREADS_HELP = "checked to be >= 1; results never depended on it"
 
 _CONSTRUCTION_BUILDERS = {
     "hamming-one": bounds_mod.build_hamming_one_pair,
@@ -391,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     _add_profile_flags(p)
     p.add_argument("--max-matrices", type=int, default=DEFAULT_MAX_MATRICES)
-    p.add_argument("--threads", type=int,
-                   help="parallel pair evaluation (default: BMM_THREADS or 1)")
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     _add_common_output(p)
     p.set_defaults(func=_cmd_closest_pair)
 
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     _add_profile_flags(p)
     p.add_argument("--max-matrices", type=int, default=DEFAULT_MAX_MATRICES)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     _add_common_output(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -2,16 +2,18 @@
 
 Enumerates every N-row multiset of L-bit words, evaluates the Chernoff
 information between all unordered pairs of distinct sources, and reports
-the exact minimum.  The pair scan prunes with the Bhattacharyya value at
-lambda = 1/2 (a lower bound on each pair's Chernoff information), kept
-exact by a small safety margin, and resolves ties deterministically by
-lexicographic pair order.
+the exact minimum.  The scan prunes with the Bhattacharyya coefficient BC
+(f_lambda at 1/2, so ``-log BC`` bounds the Chernoff information from below),
+one small matrix product of square-rooted distributions per tile.  A first
+pass keeps each tile's largest BC and settles zero-information pairs block
+by block; the pairs of largest BC then warm-start the incumbent, and one
+batch solves every pair whose bound lies within ``PRUNE_MARGIN`` of it.
+Ties go to the first ``(i, j)``, so tile size does not change the result.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator
@@ -29,8 +31,13 @@ DEFAULT_MAX_MATRICES = 10 ** 6
 # always fully evaluated, so float noise in the bound can never prune a
 # true minimizer.
 PRUNE_MARGIN = 1e-9
-_CHUNK_PAIRS = 1 << 17
-_WARM_START = 64
+# Multiply-adds per tile of the coefficient product.  A tile this small
+# stays in cache and OpenBLAS runs it on the calling thread; larger products
+# wake its worker threads, which spin between calls, so the scan would burn
+# a second core and slow down whenever that core is busy.
+_TILE_MADDS = 1 << 18
+# Survivors per solver call, which bounds the solver's memory.
+_SOLVE_PAIRS = 1 << 14
 
 
 def count_matrices(n_rows: int, n_cols: int) -> int:
@@ -41,6 +48,12 @@ def count_matrices(n_rows: int, n_cols: int) -> int:
 def _check_shape(n_rows: int, n_cols: int) -> None:
     if n_rows < 1 or n_cols < 1:
         raise InvalidInputError(f"need N >= 1 and L >= 1, got {n_rows}, {n_cols}")
+
+
+def _check_profile(profile: FlipProfile, n_cols: int) -> None:
+    if len(profile) != n_cols:
+        raise InvalidInputError(
+            f"profile length {len(profile)} != column count {n_cols}")
 
 
 def enumerate_matrices(n_rows: int, n_cols: int,
@@ -70,18 +83,13 @@ def family_table(n_rows: int, n_cols: int, profile: FlipProfile,
     return matrices, mixture_probs_table(rows_table, channel_kernel(profile))
 
 
-def _log_probs(probs: np.ndarray) -> np.ndarray:
-    # Zero probabilities become -inf, the solver's zero-support encoding.
-    with np.errstate(divide="ignore"):
-        return np.log(probs)
-
-
 @dataclass(frozen=True)
 class ClosestPairResult:
     """Exact minimum over all unordered pairs of distinct sources.
 
     ``zero_ci`` marks the degenerate finding that two distinct sources map
     to the same output distribution, i.e. the family is not identifiable.
+    ``pairs_solved`` counts the pairs sent to the Chernoff solver.
     """
 
     pair: MatrixPair
@@ -89,42 +97,63 @@ class ClosestPairResult:
     candidates_examined: int
     lambda_star: float
     zero_ci: bool
+    pairs_solved: int
 
 
-def _pair_chunks(n_items: int, chunk_pairs: int):
-    """Unordered index pairs (i < j) in lexicographic order, chunked."""
-    buf_i, buf_j, size = [], [], 0
-    for i in range(n_items - 1):
-        count = n_items - 1 - i
-        buf_i.append(np.full(count, i, dtype=np.int64))
-        buf_j.append(np.arange(i + 1, n_items, dtype=np.int64))
-        size += count
-        if size >= chunk_pairs:
-            yield np.concatenate(buf_i), np.concatenate(buf_j)
-            buf_i, buf_j, size = [], [], 0
-    if size:
-        yield np.concatenate(buf_i), np.concatenate(buf_j)
+def _min_pair(probs, row_blocks) -> tuple[tuple, int]:
+    """Smallest key ``(value, i, j, lambda_star)`` over the pairs of the tiles.
 
+    ``row_blocks`` lists blocks of tiles in increasing i.  A tile
+    ``(r0, r1, c0, c1)`` holds the pairs of sources (rows of ``probs``) with
+    i in ``range(r0, r1)`` and j in ``range(c0, c1)``, only those with j > i
+    where ``r0 == c0``; row i is the solver's ``p1``.  Returns the key and
+    the number of pairs solved.
+    """
+    sqrt_probs = np.sqrt(probs)
+    with np.errstate(divide="ignore"):  # -inf is the solver's zero support
+        logs = np.log(probs)
 
-def _scan_chunk(logs, sqrt_probs, ii, jj, incumbent):
-    bhatta = np.einsum("ij,ij->i", sqrt_probs[ii], sqrt_probs[jj])
-    cheap = np.maximum(0.0, -np.log(np.maximum(bhatta, 1e-300)))
+    def coefficients(r0, r1, c0, c1):
+        bhatta = sqrt_probs[r0:r1] @ sqrt_probs[c0:c1].T
+        if r0 == c0:  # -1 lies below every coefficient and every threshold
+            bhatta[np.tri(r1 - r0, c1 - c0, dtype=bool)] = -1.0
+        return bhatta
 
-    # Warm-start on the most promising pairs so the prune threshold is
-    # tight before the rest of the chunk is filtered.
-    order = np.argsort(cheap, kind="stable")[:_WARM_START]
-    best = incumbent
-    for stage_idx in (order, None):
-        if stage_idx is None:
-            mask = cheap <= best[0] + PRUNE_MARGIN
-            mask[order] = False
-            stage_idx = np.flatnonzero(mask)
-        vals, lams = chernoff_info_batch(logs[ii[stage_idx]], logs[jj[stage_idx]])
-        for pos in range(stage_idx.size):
-            key = (vals[pos], int(ii[stage_idx[pos]]), int(jj[stage_idx[pos]]))
-            if key < best[:3]:
-                best = key + (float(lams[pos]),)
-    return best
+    def solve(tiles, tops, lo, hi, best):
+        """Fold the pairs whose coefficient lies in [lo, hi) into ``best``."""
+        found = [np.empty((2, 0), dtype=np.int64)]
+        for (r0, r1, c0, c1), top in zip(tiles, tops):
+            if top >= lo:
+                bhatta = coefficients(r0, r1, c0, c1)
+                hits = np.argwhere((bhatta >= lo) & (bhatta < hi)).T
+                found.append(hits + [[r0], [c0]])
+        ii, jj = np.concatenate(found, axis=1)
+        for at in range(0, ii.size, _SOLVE_PAIRS):
+            i, j = ii[at:at + _SOLVE_PAIRS], jj[at:at + _SOLVE_PAIRS]
+            values, lams = chernoff_info_batch(logs[i], logs[j])
+            k = np.lexsort((j, i, values))[0]
+            best = min(best, (float(values[k]), int(i[k]), int(j[k]),
+                              float(lams[k])))
+        return best, ii.size
+
+    # A pair survives when -log BC <= incumbent + PRUNE_MARGIN, so every
+    # pair of zero information has BC >= zero_cut.
+    zero_cut = math.exp(-PRUNE_MARGIN)
+    best, solved, tiles, tops = (math.inf, math.inf, math.inf, 0.5), 0, [], []
+    for block in row_blocks:
+        block_tops = [coefficients(*tile).max() for tile in block]
+        best, count = solve(block, block_tops, zero_cut, math.inf, best)
+        solved += count
+        if best[0] == 0.0:  # no earlier block holds a zero
+            return best, solved
+        tiles += block
+        tops += block_tops
+    # Warm start on the pairs of largest coefficient, then solve the rest.
+    top = min(max(tops), zero_cut)
+    best, warm = solve(tiles, tops, top, zero_cut, best)
+    cut = math.exp(-(best[0] + PRUNE_MARGIN))
+    best, rest = solve(tiles, tops, cut, top, best)
+    return best, solved + warm + rest
 
 
 def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
@@ -135,52 +164,27 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
     Distinct sources with identical output distributions are reported with
     ``min_ci = 0`` rather than skipped.  Ties are broken by lexicographic
     pair order, making the result independent of evaluation schedule.
+    ``threads`` is validated but does not change the schedule; the scan
+    runs on the calling thread.
     """
-    if len(profile) != n_cols:
-        raise InvalidInputError(
-            f"profile length {len(profile)} != column count {n_cols}"
-        )
+    _check_profile(profile, n_cols)
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
     matrices, probs = family_table(n_rows, n_cols, profile, max_matrices)
-    n = len(matrices)
-    if n < 2:
-        raise InvalidInputError("fewer than two candidate sources")
-    logs = _log_probs(probs)
-    sqrt_probs = np.sqrt(probs)
-
-    total_pairs = n * (n - 1) // 2
-    best = (math.inf, -1, -1, 0.5)
-    chunks = _pair_chunks(n, _CHUNK_PAIRS)
-    if threads == 1:
-        for ii, jj in chunks:
-            best = _scan_chunk(logs, sqrt_probs, ii, jj, best)
-            if best[0] == 0.0:
-                break
-    else:
-        # Chunks are scanned with a possibly stale incumbent, which only
-        # widens the evaluated set; the key comparison keeps the result
-        # schedule independent.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = []
-            for ii, jj in chunks:
-                pending.append(pool.submit(_scan_chunk, logs, sqrt_probs,
-                                           ii, jj, best))
-                if len(pending) >= threads:
-                    best = min([best] + [f.result() for f in pending])
-                    pending = []
-                    if best[0] == 0.0:
-                        break
-            best = min([best] + [f.result() for f in pending])
-
+    n = len(matrices)  # at least 2: N, L >= 1
+    side = max(1, math.isqrt(_TILE_MADDS // probs.shape[1]))
+    row_blocks = [[(r0, min(r0 + side, n), c0, min(c0 + side, n))
+                   for c0 in range(r0, n, side)]
+                  for r0 in range(0, n - 1, side)]
+    best, solved = _min_pair(probs, row_blocks)
     value, bi, bj, lam = best
-    pair = MatrixPair(a=matrices[bi], b=matrices[bj], profile=profile)
     return ClosestPairResult(
-        pair=pair,
-        min_ci=float(value),
-        candidates_examined=total_pairs,
-        lambda_star=float(lam),
+        pair=MatrixPair(a=matrices[bi], b=matrices[bj], profile=profile),
+        min_ci=value,
+        candidates_examined=n * (n - 1) // 2,
+        lambda_star=lam,
         zero_ci=(value == 0.0),
+        pairs_solved=solved,
     )
 
 
@@ -190,22 +194,19 @@ def exact_error_exponent(truth: BinaryMatrix, profile: FlipProfile,
     """Minimum Chernoff information between the truth and any other source.
 
     This is the exact asymptotic exponent of the maximum-likelihood error
-    probability when ``truth`` generated the data.
+    probability when ``truth`` generated the data.  Ties go to the source
+    that comes first in enumeration order.
     """
-    if len(profile) != truth.n_cols:
-        raise InvalidInputError(
-            f"profile length {len(profile)} != column count {truth.n_cols}"
-        )
+    _check_profile(profile, truth.n_cols)
     matrices, probs = family_table(truth.n_rows, truth.n_cols, profile,
                                    max_matrices)
-    logs = _log_probs(probs)
-    truth_idx = matrices.index(truth)
-    others = np.delete(np.arange(len(matrices)), truth_idx)
-    values, _ = chernoff_info_batch(
-        logs[others], np.broadcast_to(logs[truth_idx], (others.size, logs.shape[1])))
-    # argmin keeps the first minimum, the lexicographically first source.
-    best = int(np.argmin(values))
-    return float(values[best]), matrices[others[best]]
+    n, t = len(matrices), matrices.index(truth)
+    height = max(1, _TILE_MADDS // probs.shape[1])
+    strips = [[(r0, min(r0 + height, stop), t, t + 1)]
+              for start, stop in ((0, t), (t + 1, n))
+              for r0 in range(start, stop, height)]
+    (value, other, _, _), _ = _min_pair(probs, strips)
+    return value, matrices[other]
 
 
 def random_pair_stream(n_rows: int, n_cols: int, count: int, seed: int,
@@ -219,10 +220,7 @@ def random_pair_stream(n_rows: int, n_cols: int, count: int, seed: int,
     padding multiset, so every emitted pair is critical by construction.
     """
     _check_shape(n_rows, n_cols)
-    if len(profile) != n_cols:
-        raise InvalidInputError(
-            f"profile length {len(profile)} != column count {n_cols}"
-        )
+    _check_profile(profile, n_cols)
     if count < 0:
         raise InvalidInputError(f"count must be >= 0, got {count}")
     half = 1 << (n_cols - 1)

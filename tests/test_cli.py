@@ -134,6 +134,45 @@ class TestClosestPairCommand:
                                "--flip", "0.3")
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["closest-pair", "verify"])
+    def test_zero_threads_flag(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--n", "2", "--l", "1",
+                               "--flip", "0.3", "--threads", "0")
+        assert code == 2
+        assert "--threads" in err
+
+
+class TestGoldenScans:
+    """The benchmark's scan calls, pinned to their recorded reports."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("closest-pair", "--n", "4", "--l", "4", "--flip", "0.3"),
+         {"min_ci_nats": 0.002052205792546058,
+          "pair_a": ["0000", "1100", "1010", "0110"],
+          "pair_b": ["1000", "0100", "0010", "1110"],
+          "candidates": 7509750, "zero_ci": False}),
+        (("closest-pair", "--n", "4", "--l", "4", "--flip", "0"),
+         {"min_ci_nats": 0.03468818523201739,
+          "pair_a": ["0000", "0000", "0000", "1000"],
+          "pair_b": ["0000", "0000", "1000", "1000"],
+          "candidates": 7509750, "zero_ci": False}),
+        (("verify", "--n", "3", "--l", "5", "--flip", "0.3", "--threads", "2"),
+         {"oracle_min_ci_nats": 0.00592732726964762,
+          "pair_a": ["00000", "00000", "00101"],
+          "pair_b": ["00000", "00100", "00001"],
+          "candidates": 17901136, "zero_ci": False,
+          "status": "within-bounds"}),
+    ])
+    def test_report(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        report = json.loads(out)
+        for key, value in expected.items():
+            if key.endswith("min_ci_nats"):
+                assert report[key] == pytest.approx(value, rel=1e-12, abs=0)
+            else:
+                assert report[key] == value
+
 
 class TestConstructCommand:
     @pytest.mark.parametrize("kind,n,l,f", [

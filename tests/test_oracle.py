@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+import bmmci.oracle
 from bmmci import (
     FlipProfile,
     InvalidInputError,
@@ -16,6 +18,48 @@ from bmmci import (
     mixture_distribution,
     random_pair_stream,
 )
+from bmmci.chernoff import chernoff_info_batch
+from bmmci.oracle import family_table
+
+
+def _family_logs(n, l, profile):
+    matrices, probs = family_table(n, l, profile, 10 ** 6)
+    with np.errstate(divide="ignore"):
+        return matrices, np.log(probs)
+
+
+def reference_closest_pair(n, l, profile):
+    """Unpruned scan: every pair solved, lexicographic (value, i, j) minimum."""
+    matrices, logs = _family_logs(n, l, profile)
+    ii, jj = np.triu_indices(len(matrices), 1)
+    values, lams = chernoff_info_batch(logs[ii], logs[jj])
+    order = np.lexsort((jj, ii, values))
+    k = order[0]
+    tied_rows = ii[order[values[order] == values[k]]]
+    return values[k], matrices[ii[k]], matrices[jj[k]], lams[k], tied_rows
+
+
+def reference_exponent(truth, profile):
+    """Every other source solved against the truth; first index wins ties."""
+    matrices, logs = _family_logs(truth.n_rows, truth.n_cols, profile)
+    t = matrices.index(truth)
+    others = np.flatnonzero(np.arange(len(matrices)) != t)
+    values, _ = chernoff_info_batch(logs[others],
+                                    np.broadcast_to(logs[t], logs[others].shape))
+    k = np.lexsort((others, values))[0]
+    return values[k], matrices[others[k]]
+
+
+EXACT_GRID = [
+    (n, l, FlipProfile.constant(f, l))
+    for n in range(1, 5) for l in range(1, 4) for f in (0.0, 0.1, 0.5, 1.0)
+] + [
+    (3, 2, FlipProfile((0.0, 0.3))),
+    (4, 2, FlipProfile((0.3, 1.0))),
+    (2, 3, FlipProfile((1.0, 0.3, 0.1))),
+    (3, 3, FlipProfile((0.5, 0.0, 0.3))),
+    (4, 3, FlipProfile((0.0, 0.1, 1.0))),
+]
 
 
 class TestEnumeration:
@@ -106,6 +150,81 @@ class TestClosestPair:
     def test_profile_length_checked(self):
         with pytest.raises(InvalidInputError):
             closest_pair(2, 2, FlipProfile((0.1,)))
+
+
+class TestExactness:
+    """The prefiltered oracles return exactly what an unpruned scan does."""
+
+    @pytest.mark.parametrize("n,l,profile", EXACT_GRID)
+    def test_closest_pair_matches_unpruned(self, n, l, profile):
+        value, a, b, lam, _ = reference_closest_pair(n, l, profile)
+        res = closest_pair(n, l, profile)
+        assert (res.min_ci, res.pair.a, res.pair.b, res.lambda_star) == (
+            value, a, b, lam)
+        assert 1 <= res.pairs_solved <= res.candidates_examined
+
+    @pytest.mark.parametrize("n,l,profile", EXACT_GRID)
+    def test_exponent_matches_unpruned(self, n, l, profile):
+        matrices = list(enumerate_matrices(n, l))
+        for truth in matrices[::max(1, len(matrices) // 6)]:
+            assert exact_error_exponent(truth, profile) == (
+                reference_exponent(truth, profile))
+
+    def test_all_disjoint_family(self):
+        # every pair has infinite Chernoff information; the first pair wins
+        res = closest_pair(1, 1, FlipProfile.constant(0.0, 1))
+        assert res.min_ci == math.inf
+        assert (res.pair.a.rows, res.pair.b.rows) == ((0,), (1,))
+        assert res.pairs_solved == 1
+        assert not res.zero_ci
+
+    @pytest.mark.parametrize("n,l,profile,spans", [
+        (3, 3, FlipProfile.constant(0.3, 3), True),
+        (3, 2, FlipProfile.constant(0.1, 2), True),
+        (4, 2, FlipProfile((0.0, 0.3)), False),
+        (3, 2, FlipProfile.constant(0.5, 2), False),
+        (1, 3, FlipProfile.constant(0.0, 3), False),
+    ])
+    def test_row_blocks(self, monkeypatch, n, l, profile, spans):
+        value, a, b, lam, tied_rows = reference_closest_pair(n, l, profile)
+        block = 2  # tiles of 2 x 2 pairs, strips of 4 sources
+        monkeypatch.setattr(bmmci.oracle, "_TILE_MADDS", 4 << l)
+        if spans:
+            # the minimum is tied exactly by pairs in different row blocks
+            assert len(set(tied_rows // block)) > 1
+        res = closest_pair(n, l, profile)
+        assert (res.min_ci, res.pair.a, res.pair.b, res.lambda_star) == (
+            value, a, b, lam)
+        for truth in (a, b):
+            assert exact_error_exponent(truth, profile) == (
+                reference_exponent(truth, profile))
+
+    def test_stops_at_first_zero_block(self, monkeypatch):
+        # sources 2 and 3 share a distribution, as do 6 and 7; with blocks
+        # of 2 rows the scan stops in the second block after one solve
+        matrices = list(enumerate_matrices(2, 2))
+        probs = np.full((len(matrices), 4), 0.25)
+        probs[:, 0] += 0.05 * np.array([1, 2, 3, 3, 4, 5, 6, 6, 7, 8])
+        probs[:, 1:] -= probs[:, :1] / 3 - 0.25 / 3
+        monkeypatch.setattr(bmmci.oracle, "family_table",
+                            lambda *args: (matrices, probs))
+        monkeypatch.setattr(bmmci.oracle, "_TILE_MADDS", 4 * 4)
+        res = closest_pair(2, 2, FlipProfile.constant(0.1, 2))
+        assert (res.min_ci, res.pair.a, res.pair.b) == (
+            0.0, matrices[2], matrices[3])
+        assert res.pairs_solved == 1
+
+    def test_tie_across_column_tiles(self, monkeypatch):
+        # (0, 4) and (1, 2) tie exactly (mirrored distributions); in tiles
+        # of 2 x 2 pairs (1, 2) is met first, but (0, 4) comes first
+        matrices = list(enumerate_matrices(5, 1))
+        probs = np.array([[0.2, 0.8], [0.8, 0.2], [0.75, 0.25],
+                          [0.5, 0.5], [0.25, 0.75], [0.6, 0.4]])
+        monkeypatch.setattr(bmmci.oracle, "family_table",
+                            lambda *args: (matrices, probs))
+        monkeypatch.setattr(bmmci.oracle, "_TILE_MADDS", 4 * 2)
+        res = closest_pair(5, 1, FlipProfile.constant(0.1, 1))
+        assert (res.pair.a, res.pair.b) == (matrices[0], matrices[4])
 
 
 class TestExactErrorExponent:
