@@ -32,7 +32,12 @@ from .mixtures import (
     mixture_distribution,
     parse_matrix_text,
 )
-from .oracle import DEFAULT_MAX_MATRICES, closest_pair, exact_error_exponent
+from .oracle import (
+    DEFAULT_MAX_MATRICES,
+    closest_pair,
+    exact_error_exponent,
+    family_table,
+)
 from .simulate import SimConfig, estimate_exponent
 
 SCHEMA_VERSION = 1
@@ -290,9 +295,10 @@ def _cmd_simulate(args) -> int:
         raise CliUsageError(f"--m-values must be a comma list of ints: {exc}")
     cfg = SimConfig(truth=truth, profile=profile, m_values=m_values,
                     trials=args.trials, seed=args.seed)
-    estimate = estimate_exponent(cfg, max_matrices=args.max_matrices)
-    d_exact, nearest = exact_error_exponent(truth, profile,
-                                            max_matrices=args.max_matrices)
+    table = family_table(truth.n_rows, truth.n_cols, profile,
+                         args.max_matrices)
+    estimate = estimate_exponent(cfg, table=table)
+    d_exact, nearest = exact_error_exponent(truth, profile, table=table)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",

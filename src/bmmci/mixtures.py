@@ -181,11 +181,13 @@ def mixture_probs_table(rows_table: np.ndarray, kernel: np.ndarray) -> np.ndarra
     """Mixture vectors for many sources at once.
 
     ``rows_table`` has one source per row (shape (M, N)); returns (M, 2**L).
+    The rows are added one at a time, so no (M, N, 2**L) array is built.
     """
-    n_outcomes = kernel.shape[0]
-    outcomes = np.arange(n_outcomes)
-    diffs = rows_table[:, :, None] ^ outcomes[None, None, :]
-    return kernel[diffs].sum(axis=1) / rows_table.shape[1]
+    outcomes = np.arange(kernel.shape[0])
+    total = np.zeros((rows_table.shape[0], kernel.shape[0]))
+    for n in range(rows_table.shape[1]):
+        total += kernel[rows_table[:, n, None] ^ outcomes]
+    return total / rows_table.shape[1]
 
 
 @dataclass(frozen=True)

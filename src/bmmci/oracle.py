@@ -189,17 +189,21 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
 
 
 def exact_error_exponent(truth: BinaryMatrix, profile: FlipProfile,
-                         max_matrices: int = DEFAULT_MAX_MATRICES
+                         max_matrices: int = DEFAULT_MAX_MATRICES,
+                         table: tuple[list[BinaryMatrix], np.ndarray] | None = None
                          ) -> tuple[float, BinaryMatrix]:
     """Minimum Chernoff information between the truth and any other source.
 
     This is the exact asymptotic exponent of the maximum-likelihood error
     probability when ``truth`` generated the data.  Ties go to the source
-    that comes first in enumeration order.
+    that comes first in enumeration order.  ``table`` is the truth's
+    ``family_table`` under ``profile``, for a caller that already built it;
+    otherwise it is built here.
     """
     _check_profile(profile, truth.n_cols)
-    matrices, probs = family_table(truth.n_rows, truth.n_cols, profile,
-                                   max_matrices)
+    if table is None:
+        table = family_table(truth.n_rows, truth.n_cols, profile, max_matrices)
+    matrices, probs = table
     n, t = len(matrices), matrices.index(truth)
     height = max(1, _TILE_MADDS // probs.shape[1])
     strips = [[(r0, min(r0 + height, stop), t, t + 1)]

@@ -1,10 +1,18 @@
 """Monte Carlo check of the operational meaning of the minimum exponent.
 
-Observations are drawn from a known truth source through the flip channel,
-exact maximum likelihood runs over every canonical candidate, and the decay
-of the error rate with the sample count estimates the error exponent.  A
-trial counts as an error unless the truth's log likelihood strictly exceeds
-every other candidate's, so ties are errors.
+Data are drawn from a known truth source through the flip channel, exact
+maximum likelihood runs over every canonical candidate, and the decay of the
+error rate with the sample count estimates the error exponent.  A trial
+counts as an error unless the truth's log likelihood strictly exceeds every
+other candidate's, so ties are errors.
+
+Maximum likelihood reads only the outcome counts, and under the truth those
+are Multinomial(m, p_truth), so a trial draws its counts, not its m
+observations.  A rival is scored by the log-likelihood ratio
+``counts · (log p_rival - log p_truth)``, which is exactly 0 for a rival with
+the truth's probabilities; a score within rounding of 0 is a tie.  Rivals are scored a tile at a time in
+enumeration order; a trial leaves once some rival ties or beats the truth,
+and the scoring of a block stops when no trial is left.
 """
 
 from __future__ import annotations
@@ -26,10 +34,21 @@ _Z95 = 1.959963984540054
 # substream, so runs are reproducible and blocks can be processed in any
 # order.
 _TRIAL_BLOCK = 4096
+# Rivals scored per matrix product: a full trial block against a tile is an
+# 8 MiB product, whatever the size of the family.
+_RIVAL_TILE = 256
 # Candidates assigning probability 0 to an observed word must never win;
-# this sentinel keeps the dot product finite while dominating any real
-# log likelihood.
+# this sentinel keeps the ratios finite (a zero on both sides gives 0, not
+# nan) while dominating any real log likelihood.
 _LOG_ZERO = -1e18
+# A rival whose probabilities are a permutation of the truth's (the truth
+# with its rows XORed by a mask, say) ties exactly with counts permuted
+# alike, but the tables, the logs and the products leave that tie a few
+# units in the last place either side of 0.  A score above
+# -m * _TIE_RTOL * (1 + max |log p|), summed over both sources, counts as a
+# tie; the rounding is about (N + 2**L) * 2**-53 of that scale, below
+# 1e-12 for N + 2**L up to about 9,000.
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,17 +96,6 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     return low, high
 
 
-def _sample_block(rows: np.ndarray, profile: FlipProfile, n_trials: int,
-                  m: int, rng: np.random.Generator) -> np.ndarray:
-    """Observation words for a block of trials, shape (n_trials, m)."""
-    idx = rng.integers(0, rows.shape[0], size=(n_trials, m))
-    words = rows[idx]
-    for col, f in enumerate(profile.flips):
-        flips = rng.random((n_trials, m)) < f
-        words = words ^ (flips.astype(np.int64) << col)
-    return words
-
-
 def sample_observations(truth: BinaryMatrix, profile: FlipProfile, m: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Draw m observations: uniform row choice, then independent column flips."""
@@ -96,24 +104,30 @@ def sample_observations(truth: BinaryMatrix, profile: FlipProfile, m: int,
     if truth.n_rows == 0:
         raise InvalidInputError("truth matrix must have at least one row")
     rows = np.array(truth.rows, dtype=np.int64)
-    return _sample_block(rows, profile, 1, m, rng)[0]
+    words = rows[rng.integers(0, rows.shape[0], size=m)]
+    for col, f in enumerate(profile.flips):
+        words ^= (rng.random(m) < f).astype(np.int64) << col
+    return words
 
 
-def _candidate_tables(n_rows: int, n_cols: int, profile: FlipProfile,
-                      max_matrices: int):
-    matrices, probs = family_table(n_rows, n_cols, profile, max_matrices)
+def _rival_ratios(probs: np.ndarray, truth_idx: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-rival log-probability ratios against the truth and their tie slack.
+
+    Returns ``(ratios, slack)``: row r of ``ratios`` is
+    ``log p_r - log p_truth`` over the outcomes for the r-th other candidate
+    in enumeration order, and a score ``counts @ ratios[r]`` of at least
+    ``-m * slack[r]`` is a tie or a win for that rival.
+    """
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
-    log_probs = np.maximum(log_probs, _LOG_ZERO)
-    return matrices, log_probs
-
-
-def _counts_matrix(words: np.ndarray, n_outcomes: int) -> np.ndarray:
-    n_trials = words.shape[0]
-    offsets = np.arange(n_trials, dtype=np.int64)[:, None] * n_outcomes
-    flat = (words + offsets).ravel()
-    counts = np.bincount(flat, minlength=n_trials * n_outcomes)
-    return counts.reshape(n_trials, n_outcomes)
+    # Over each source's support only: a sentinel entry is met by zero
+    # counts (exact) or decides the trial by far more than any slack.
+    magnitude = np.where(probs > 0.0, np.abs(log_probs), 0.0).max(axis=1) + 1.0
+    np.maximum(log_probs, _LOG_ZERO, out=log_probs)
+    ratios = np.delete(log_probs, truth_idx, axis=0) - log_probs[truth_idx]
+    slack = np.delete(magnitude, truth_idx) + magnitude[truth_idx]
+    return ratios, _TIE_RTOL * slack
 
 
 def ml_decide(observations: Sequence[int], profile: FlipProfile,
@@ -128,42 +142,46 @@ def ml_decide(observations: Sequence[int], profile: FlipProfile,
     """
     if truth.n_rows != n_rows or truth.n_cols != n_cols:
         raise InvalidInputError("truth matrix shape disagrees with (N, L)")
-    matrices, log_probs = _candidate_tables(n_rows, n_cols, profile, max_matrices)
+    matrices, probs = family_table(n_rows, n_cols, profile, max_matrices)
     words = np.asarray(list(observations), dtype=np.int64)
     if words.size and (words.min() < 0 or words.max() >> n_cols):
         raise InvalidInputError("observation word outside the outcome space")
     counts = np.bincount(words, minlength=1 << n_cols).astype(float)
-    scores = log_probs @ counts
-    chosen = int(np.argmax(scores))
     truth_idx = matrices.index(truth)
-    rival = np.delete(scores, truth_idx)
-    correct = bool(rival.size == 0 or scores[truth_idx] > rival.max())
+    ratios, slack = _rival_ratios(probs, truth_idx)
+    scores = ratios @ counts
+    correct = bool(np.all(scores < -words.size * slack))
+    chosen = int(np.argmax(np.insert(scores, truth_idx, 0.0)))
     return matrices[chosen], correct
 
 
-def _error_count(truth_rows: np.ndarray, profile: FlipProfile,
-                 log_probs: np.ndarray, truth_idx: int, m: int, trials: int,
-                 seed_seq: np.random.SeedSequence) -> int:
-    n_outcomes = log_probs.shape[1]
-    rival = np.delete(log_probs, truth_idx, axis=0)
-    n_blocks = (trials + _TRIAL_BLOCK - 1) // _TRIAL_BLOCK
-    streams = seed_seq.spawn(n_blocks)
-    errors = 0
-    done = 0
-    for block, stream in zip(range(n_blocks), streams):
-        n_here = min(_TRIAL_BLOCK, trials - done)
-        rng = np.random.default_rng(stream)
-        words = _sample_block(truth_rows, profile, n_here, m, rng)
-        if m == 0:
-            errors += n_here  # all likelihoods tie
-            done += n_here
-            continue
-        counts = _counts_matrix(words, n_outcomes).astype(float)
-        truth_scores = counts @ log_probs[truth_idx]
-        best_rival = (counts @ rival.T).max(axis=1)
-        errors += int(np.sum(truth_scores <= best_rival))
-        done += n_here
-    return errors
+def _error_counts(cfg: SimConfig,
+                  table: tuple[list[BinaryMatrix], np.ndarray]) -> list[int]:
+    """Errors among ``cfg.trials`` simulated trials, one count per m."""
+    matrices, probs = table
+    truth_idx = matrices.index(cfg.truth)
+    ratios, slack = _rival_ratios(probs, truth_idx)
+    n_blocks = (cfg.trials + _TRIAL_BLOCK - 1) // _TRIAL_BLOCK
+    point_streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.m_values))
+    per_m = []
+    for m, point_stream in zip(cfg.m_values, point_streams):
+        errors = 0
+        for block, stream in enumerate(point_stream.spawn(n_blocks)):
+            n_here = min(_TRIAL_BLOCK, cfg.trials - block * _TRIAL_BLOCK)
+            rng = np.random.default_rng(stream)
+            # with m == 0 every count is 0, so every rival ties: all errors
+            counts = rng.multinomial(m, probs[truth_idx], size=n_here)
+            counts = counts.astype(float)
+            for start in range(0, ratios.shape[0], _RIVAL_TILE):
+                stop = start + _RIVAL_TILE
+                lost = (counts @ ratios[start:stop].T
+                        >= -m * slack[start:stop]).any(axis=1)
+                errors += int(np.count_nonzero(lost))
+                counts = counts[~lost]
+                if counts.shape[0] == 0:
+                    break
+        per_m.append(errors)
+    return per_m
 
 
 def fit_exponent(points: Sequence[tuple[int, float, int]]
@@ -193,22 +211,19 @@ def fit_exponent(points: Sequence[tuple[int, float, int]]
 
 
 def estimate_exponent(cfg: SimConfig,
-                      max_matrices: int = DEFAULT_MAX_MATRICES
+                      max_matrices: int = DEFAULT_MAX_MATRICES,
+                      table: tuple[list[BinaryMatrix], np.ndarray] | None = None
                       ) -> ExponentEstimate:
-    """Simulate the error rate per sample count and fit the decay exponent."""
-    matrices, log_probs = _candidate_tables(cfg.truth.n_rows, cfg.truth.n_cols,
-                                            cfg.profile, max_matrices)
-    truth_idx = matrices.index(cfg.truth)
-    truth_rows = np.array(cfg.truth.rows, dtype=np.int64)
+    """Simulate the error rate per sample count and fit the decay exponent.
 
-    root = np.random.SeedSequence(cfg.seed)
-    point_streams = root.spawn(len(cfg.m_values))
-    per_m = []
-    for m, stream in zip(cfg.m_values, point_streams):
-        errors = _error_count(truth_rows, cfg.profile, log_probs, truth_idx,
-                              m, cfg.trials, stream)
-        rate = errors / cfg.trials
-        per_m.append((m, rate, wilson_interval(errors, cfg.trials)))
+    ``table`` is the truth's ``family_table`` under ``cfg.profile``, for a
+    caller that already built it; otherwise it is built here.
+    """
+    if table is None:
+        table = family_table(cfg.truth.n_rows, cfg.truth.n_cols, cfg.profile,
+                             max_matrices)
+    per_m = [(m, errors / cfg.trials, wilson_interval(errors, cfg.trials))
+             for m, errors in zip(cfg.m_values, _error_counts(cfg, table))]
     slope, interval = fit_exponent(
         [(m, rate, cfg.trials) for m, rate, _ in per_m]
     )

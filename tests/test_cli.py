@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import bmmci.cli
+import bmmci.oracle
 from bmmci import FlipProfile, canonicalize, closest_pair, format_matrix_text
 from bmmci.cli import dumps_report, main
 
@@ -273,6 +274,22 @@ class TestSimulateCommand:
         assert len(report["per_m"]) == 3
         assert report["exact_exponent_nats"] > 0
         assert report["slope_nats_per_sample"] > 0
+
+    def test_family_enumerated_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = bmmci.oracle.enumerate_matrices
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bmmci.oracle, "enumerate_matrices", counting)
+        truth = write_matrix(tmp_path / "t.txt", [0, 1, 3], 2)
+        code, _, _ = run_cli(capsys, "simulate", "--truth", truth,
+                             "--flip", "0.1", "--m-values", "5,15,25",
+                             "--trials", "500", "--seed", "9")
+        assert code == 0
+        assert calls == [(3, 2, bmmci.cli.DEFAULT_MAX_MATRICES)]
 
     def test_estimation_failure_exits_one(self, tmp_path, capsys):
         truth = write_matrix(tmp_path / "t.txt", [0, 1], 1)

@@ -13,6 +13,7 @@ from bmmci import (
     mixture_distribution,
     parse_matrix_text,
 )
+from bmmci.mixtures import channel_kernel, mixture_probs_table
 
 
 def reference_mixture(rows, n_cols, flips):
@@ -106,6 +107,20 @@ class TestMixtureDistribution:
         d = mixture_distribution(canonicalize(rows, 4), FlipProfile(flips))
         assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
         assert d.probs.min() >= 0.0
+
+    def test_table_matches_gathered_sum(self):
+        # the table adds one row at a time; gathering every (source, row,
+        # outcome) term and summing over rows must give the same bits
+        rng = np.random.default_rng(5)
+        for n_rows in range(1, 13):
+            for n_cols in range(1, 7):
+                rows = rng.integers(0, 1 << n_cols, size=(40, n_rows))
+                kernel = channel_kernel(FlipProfile(tuple(rng.random(n_cols))))
+                outcomes = np.arange(1 << n_cols)
+                gathered = kernel[rows[:, :, None] ^ outcomes[None, None, :]]
+                expected = gathered.sum(axis=1) / n_rows
+                assert np.array_equal(mixture_probs_table(rows, kernel),
+                                      expected)
 
     def test_rejects_unnormalized_vector(self):
         with pytest.raises(InvalidInputError):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,12 +18,42 @@ from bmmci import (
     sample_observations,
     wilson_interval,
 )
+from bmmci import simulate
+from bmmci.oracle import DEFAULT_MAX_MATRICES, family_table
 
 TRUTH = canonicalize([0, 1, 1], 1)
 PROFILE = FlipProfile.constant(0.1, 1)
 
 # chi-square critical value, 3 degrees of freedom, upper tail 0.001
 _CHI2_3_CRIT = 16.266
+
+
+def error_counts(truth, profile, m_values, trials, seed):
+    cfg = SimConfig(truth=truth, profile=profile, m_values=m_values,
+                    trials=trials, seed=seed)
+    table = family_table(truth.n_rows, truth.n_cols, profile,
+                         DEFAULT_MAX_MATRICES)
+    return simulate._error_counts(cfg, table)
+
+
+def exact_binary_error(ones: int, n_rows: int, f: Fraction, m: int) -> float:
+    """ML error probability for a one-column truth with ``ones`` one-rows.
+
+    Sums the binomial pmf over the m+1 outcome counts at which the truth's
+    likelihood does not strictly exceed every other source's, comparing the
+    likelihood ratios in exact rational arithmetic.
+    """
+    def p_one(k):
+        return (k * (1 - f) + (n_rows - k) * f) / n_rows
+
+    truth = p_one(ones)
+    total = Fraction(0)
+    for c1 in range(m + 1):
+        c0 = m - c1
+        if any((p_one(k) / truth) ** c1 * ((1 - p_one(k)) / (1 - truth)) ** c0
+               >= 1 for k in range(n_rows + 1) if k != ones):
+            total += math.comb(m, c1) * truth ** c1 * (1 - truth) ** c0
+    return float(total)
 
 
 class TestSampleObservations:
@@ -85,6 +117,23 @@ class TestMlDecide:
         with pytest.raises(InvalidInputError):
             ml_decide([0], PROFILE, 2, 1, TRUTH)
 
+    def test_uninformative_channel_is_never_correct(self):
+        truth = canonicalize([0, 1, 3], 2)
+        profile = FlipProfile.constant(0.5, 2)
+        chosen, correct = ml_decide([0, 1, 2, 3, 3], profile, 3, 2, truth)
+        assert not correct
+        assert chosen.rows == (0, 0, 0)
+
+    @pytest.mark.parametrize("f", [0.1, 0.15])
+    def test_mirrored_rival_ties(self, f):
+        # 0,0,1 has the probabilities of 0,1,1 in swapped order, so equal
+        # counts of 0 and 1 tie exactly, whatever the rounding of the table
+        profile = FlipProfile.constant(f, 1)
+        _, correct = ml_decide([0, 1] * 10, profile, 3, 1, TRUTH)
+        assert not correct
+        _, correct = ml_decide([0, 1] * 10 + [1], profile, 3, 1, TRUTH)
+        assert correct
+
 
 class TestWilsonInterval:
     def test_bounds_within_unit_interval(self):
@@ -115,6 +164,52 @@ class TestFitExponent:
         points = [(10, 1.0, 100), (20, 1.0, 100), (30, 0.5, 100)]
         with pytest.raises(EstimationError):
             fit_exponent(points)
+
+
+class TestErrorCounts:
+    @pytest.mark.parametrize("f", [0.1, 0.15])
+    def test_binary_outcomes_match_exact_error(self, f):
+        trials = 20_000
+        m_values = (20, 40, 60)
+        profile = FlipProfile.constant(f, 1)
+        counts = error_counts(TRUTH, profile, m_values, trials, seed=20)
+        for m, errors in zip(m_values, counts):
+            exact = exact_binary_error(2, 3, Fraction(str(f)), m)
+            se = math.sqrt(exact * (1 - exact) / trials)
+            assert abs(errors / trials - exact) <= 5 * se, (m, errors, exact)
+
+    @pytest.mark.parametrize("n_cols", [2, 4, 6])
+    def test_uninformative_channel_every_trial_is_an_error(self, n_cols):
+        # at f = 0.5 every candidate has the same outcome distribution
+        truth = canonicalize([0, 1, (1 << n_cols) - 1], n_cols)
+        profile = FlipProfile.constant(0.5, n_cols)
+        counts = error_counts(truth, profile, (0, 7, 30), 5000, seed=4)
+        assert counts == [5000, 5000, 5000]
+
+    def test_tile_size_does_not_change_counts(self, monkeypatch):
+        truth = canonicalize([0, 3, 5, 6], 3)
+        profile = FlipProfile((0.02, 0.05, 0.1))
+        args = (truth, profile, (0, 9, 25, 51), 5000, 3)
+        reference = error_counts(*args)
+        assert 0 < reference[-1] < reference[1] < 5000
+        for tile in (1, 7):
+            monkeypatch.setattr(simulate, "_RIVAL_TILE", tile)
+            assert error_counts(*args) == reference
+
+    def test_no_score_matrix_over_all_rivals(self):
+        # 4096 trials against the 5,983 rivals at N=3, L=5 would be 196 MB
+        truth = canonicalize([0, 5, 12], 5)
+        profile = FlipProfile.constant(0.2, 5)
+        table = family_table(3, 5, profile, DEFAULT_MAX_MATRICES)
+        cfg = SimConfig(truth=truth, profile=profile, m_values=(40,),
+                        trials=4096, seed=0)
+        tracemalloc.start()
+        try:
+            simulate._error_counts(cfg, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestEstimateExponent:
