@@ -181,12 +181,14 @@ def mixture_probs_table(rows_table: np.ndarray, kernel: np.ndarray) -> np.ndarra
     """Mixture vectors for many sources at once.
 
     ``rows_table`` has one source per row (shape (M, N)); returns (M, 2**L).
-    The rows are added one at a time, so no (M, N, 2**L) array is built.
+    Row w of ``shifted`` is the kernel seen from word w, so each of the N
+    rows of every source is one row gather; no (M, N, 2**L) array is built.
     """
     outcomes = np.arange(kernel.shape[0])
-    total = np.zeros((rows_table.shape[0], kernel.shape[0]))
-    for n in range(rows_table.shape[1]):
-        total += kernel[rows_table[:, n, None] ^ outcomes]
+    shifted = kernel[outcomes[:, None] ^ outcomes]
+    total = shifted[rows_table[:, 0]]
+    for n in range(1, rows_table.shape[1]):
+        total += shifted[rows_table[:, n]]
     return total / rows_table.shape[1]
 
 

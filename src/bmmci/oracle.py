@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Iterator
 
 import numpy as np
@@ -38,6 +37,9 @@ PRUNE_MARGIN = 1e-9
 _TILE_MADDS = 1 << 18
 # Survivors per solver call, which bounds the solver's memory.
 _SOLVE_PAIRS = 1 << 14
+# Largest mixture table ``family_table`` builds, in bytes.  Its rows and its
+# (2**L, 2**L) array of shifted kernels are never larger than the table.
+_TABLE_BYTES = 1 << 30
 
 
 def count_matrices(n_rows: int, n_cols: int) -> int:
@@ -56,10 +58,7 @@ def _check_profile(profile: FlipProfile, n_cols: int) -> None:
             f"profile length {len(profile)} != column count {n_cols}")
 
 
-def enumerate_matrices(n_rows: int, n_cols: int,
-                       max_matrices: int = DEFAULT_MAX_MATRICES
-                       ) -> Iterator[BinaryMatrix]:
-    """Yield every canonical matrix once, in lexicographic order of sorted rows."""
+def _family_size(n_rows: int, n_cols: int, max_matrices: int) -> int:
     _check_shape(n_rows, n_cols)
     total = count_matrices(n_rows, n_cols)
     if total > max_matrices:
@@ -67,20 +66,75 @@ def enumerate_matrices(n_rows: int, n_cols: int,
             f"{total} matrices for N={n_rows}, L={n_cols} exceeds the cap "
             f"of {max_matrices}"
         )
-    for rows in combinations_with_replacement(range(1 << n_cols), n_rows):
-        yield BinaryMatrix(rows, n_cols)
+    return total
+
+
+def canonical_rows(n_rows: int, n_cols: int,
+                   max_matrices: int = DEFAULT_MAX_MATRICES) -> np.ndarray:
+    """Every canonical source as one row of sorted words, shape (M, N).
+
+    Rows come in lexicographic order.  The multisets grow one column at a
+    time: a prefix ending in ``last`` is followed by each of
+    ``last .. 2**L - 1``.
+    """
+    _family_size(n_rows, n_cols, max_matrices)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    last = np.zeros(1, dtype=np.int64)
+    for _ in range(n_rows):
+        reps = (1 << n_cols) - last
+        starts = np.cumsum(reps) - reps
+        last = np.arange(reps.sum()) + np.repeat(last - starts, reps)
+        rows = np.column_stack((np.repeat(rows, reps, axis=0), last))
+    return rows
+
+
+def enumerate_matrices(n_rows: int, n_cols: int,
+                       max_matrices: int = DEFAULT_MAX_MATRICES
+                       ) -> Iterator[BinaryMatrix]:
+    """Yield every canonical matrix once, in lexicographic order of sorted rows."""
+    for rows in canonical_rows(n_rows, n_cols, max_matrices).tolist():
+        yield BinaryMatrix(tuple(rows), n_cols)
 
 
 def family_table(n_rows: int, n_cols: int, profile: FlipProfile,
-                 max_matrices: int) -> tuple[list[BinaryMatrix], np.ndarray]:
+                 max_matrices: int) -> tuple[np.ndarray, np.ndarray]:
     """Every canonical source with its channel-output distribution.
 
-    Returns ``(matrices, probs)`` in enumeration order; ``probs[i]`` is the
-    mixture vector of ``matrices[i]`` over the 2**L outcome words.
+    Returns ``(rows, probs)`` in enumeration order: ``rows`` is
+    ``canonical_rows`` and ``probs[i]`` is the mixture vector of source
+    ``rows[i]`` over the 2**L outcome words.  A table larger than
+    ``_TABLE_BYTES`` raises ``ResourceLimitError`` before anything is built.
     """
-    matrices = list(enumerate_matrices(n_rows, n_cols, max_matrices))
-    rows_table = np.array([m.rows for m in matrices], dtype=np.int64)
-    return matrices, mixture_probs_table(rows_table, channel_kernel(profile))
+    table_bytes = _family_size(n_rows, n_cols, max_matrices) * (8 << n_cols)
+    if table_bytes > _TABLE_BYTES:
+        raise ResourceLimitError(
+            f"the mixture table for N={n_rows}, L={n_cols} needs "
+            f"{table_bytes} bytes, over the budget of {_TABLE_BYTES}"
+        )
+    rows = canonical_rows(n_rows, n_cols, max_matrices)
+    return rows, mixture_probs_table(rows, channel_kernel(profile))
+
+
+def family_index(table: tuple[np.ndarray, np.ndarray],
+                 source: BinaryMatrix) -> int:
+    """Position of ``source`` in a ``family_table``.
+
+    Raises ``InvalidInputError`` when the table does not hold it.
+    """
+    rows, probs = table
+    if rows.shape[1] == source.n_rows and probs.shape[1] == 1 << source.n_cols:
+        hits = np.flatnonzero((rows == source.rows).all(axis=1))
+        if hits.size:
+            return int(hits[0])
+    raise InvalidInputError(
+        f"the {source.n_rows}x{source.n_cols} source is not in a family table "
+        f"of {rows.shape[1]}-row sources over {probs.shape[1]} outcomes"
+    )
+
+
+def family_source(rows: np.ndarray, index: int, n_cols: int) -> BinaryMatrix:
+    """The ``BinaryMatrix`` of row ``index`` of a ``family_table``."""
+    return BinaryMatrix(tuple(rows[index].tolist()), n_cols)
 
 
 @dataclass(frozen=True)
@@ -170,8 +224,8 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
     _check_profile(profile, n_cols)
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
-    matrices, probs = family_table(n_rows, n_cols, profile, max_matrices)
-    n = len(matrices)  # at least 2: N, L >= 1
+    rows, probs = family_table(n_rows, n_cols, profile, max_matrices)
+    n = rows.shape[0]  # at least 2: N, L >= 1
     side = max(1, math.isqrt(_TILE_MADDS // probs.shape[1]))
     row_blocks = [[(r0, min(r0 + side, n), c0, min(c0 + side, n))
                    for c0 in range(r0, n, side)]
@@ -179,7 +233,8 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
     best, solved = _min_pair(probs, row_blocks)
     value, bi, bj, lam = best
     return ClosestPairResult(
-        pair=MatrixPair(a=matrices[bi], b=matrices[bj], profile=profile),
+        pair=MatrixPair(a=family_source(rows, bi, n_cols),
+                        b=family_source(rows, bj, n_cols), profile=profile),
         min_ci=value,
         candidates_examined=n * (n - 1) // 2,
         lambda_star=lam,
@@ -190,7 +245,7 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
 
 def exact_error_exponent(truth: BinaryMatrix, profile: FlipProfile,
                          max_matrices: int = DEFAULT_MAX_MATRICES,
-                         table: tuple[list[BinaryMatrix], np.ndarray] | None = None
+                         table: tuple[np.ndarray, np.ndarray] | None = None
                          ) -> tuple[float, BinaryMatrix]:
     """Minimum Chernoff information between the truth and any other source.
 
@@ -203,14 +258,14 @@ def exact_error_exponent(truth: BinaryMatrix, profile: FlipProfile,
     _check_profile(profile, truth.n_cols)
     if table is None:
         table = family_table(truth.n_rows, truth.n_cols, profile, max_matrices)
-    matrices, probs = table
-    n, t = len(matrices), matrices.index(truth)
+    rows, probs = table
+    n, t = rows.shape[0], family_index(table, truth)
     height = max(1, _TILE_MADDS // probs.shape[1])
     strips = [[(r0, min(r0 + height, stop), t, t + 1)]
               for start, stop in ((0, t), (t + 1, n))
               for r0 in range(start, stop, height)]
     (value, other, _, _), _ = _min_pair(probs, strips)
-    return value, matrices[other]
+    return value, family_source(rows, other, truth.n_cols)
 
 
 def random_pair_stream(n_rows: int, n_cols: int, count: int, seed: int,

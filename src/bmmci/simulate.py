@@ -10,9 +10,10 @@ Maximum likelihood reads only the outcome counts, and under the truth those
 are Multinomial(m, p_truth), so a trial draws its counts, not its m
 observations.  A rival is scored by the log-likelihood ratio
 ``counts · (log p_rival - log p_truth)``, which is exactly 0 for a rival with
-the truth's probabilities; a score within rounding of 0 is a tie.  Rivals are scored a tile at a time in
-enumeration order; a trial leaves once some rival ties or beats the truth,
-and the scoring of a block stops when no trial is left.
+the truth's probabilities; a score within rounding of 0 is a tie.  Rivals
+are scored a tile at a time in enumeration order; a trial leaves once some
+rival ties or beats the truth, and the scoring of a block stops when no
+trial is left.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 from .exceptions import EstimationError, InvalidInputError
 from .mixtures import BinaryMatrix, FlipProfile
 from .mixtures import mixture_probs_table  # noqa: F401  looked up by bench/spans.py
-from .oracle import DEFAULT_MAX_MATRICES, family_table
+from .oracle import (DEFAULT_MAX_MATRICES, family_index, family_source,
+                     family_table)
 from .oracle import enumerate_matrices  # noqa: F401  looked up by bench/spans.py
 
 _Z95 = 1.959963984540054
@@ -142,24 +144,25 @@ def ml_decide(observations: Sequence[int], profile: FlipProfile,
     """
     if truth.n_rows != n_rows or truth.n_cols != n_cols:
         raise InvalidInputError("truth matrix shape disagrees with (N, L)")
-    matrices, probs = family_table(n_rows, n_cols, profile, max_matrices)
+    table = family_table(n_rows, n_cols, profile, max_matrices)
+    rows, probs = table
     words = np.asarray(list(observations), dtype=np.int64)
     if words.size and (words.min() < 0 or words.max() >> n_cols):
         raise InvalidInputError("observation word outside the outcome space")
     counts = np.bincount(words, minlength=1 << n_cols).astype(float)
-    truth_idx = matrices.index(truth)
+    truth_idx = family_index(table, truth)
     ratios, slack = _rival_ratios(probs, truth_idx)
     scores = ratios @ counts
     correct = bool(np.all(scores < -words.size * slack))
     chosen = int(np.argmax(np.insert(scores, truth_idx, 0.0)))
-    return matrices[chosen], correct
+    return family_source(rows, chosen, n_cols), correct
 
 
 def _error_counts(cfg: SimConfig,
-                  table: tuple[list[BinaryMatrix], np.ndarray]) -> list[int]:
+                  table: tuple[np.ndarray, np.ndarray]) -> list[int]:
     """Errors among ``cfg.trials`` simulated trials, one count per m."""
-    matrices, probs = table
-    truth_idx = matrices.index(cfg.truth)
+    _, probs = table
+    truth_idx = family_index(table, cfg.truth)
     ratios, slack = _rival_ratios(probs, truth_idx)
     n_blocks = (cfg.trials + _TRIAL_BLOCK - 1) // _TRIAL_BLOCK
     point_streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.m_values))
@@ -212,7 +215,7 @@ def fit_exponent(points: Sequence[tuple[int, float, int]]
 
 def estimate_exponent(cfg: SimConfig,
                       max_matrices: int = DEFAULT_MAX_MATRICES,
-                      table: tuple[list[BinaryMatrix], np.ndarray] | None = None
+                      table: tuple[np.ndarray, np.ndarray] | None = None
                       ) -> ExponentEstimate:
     """Simulate the error rate per sample count and fit the decay exponent.
 

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def traced_peak(func):
+    """``func()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = func()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def write_matrix(path, rows, n_cols):
@@ -122,6 +134,14 @@ class TestClosestPairCommand:
                                "--flip", "0.3", "--max-matrices", "10000")
         assert code == 3
         assert "50388" in err
+
+    def test_table_budget_exits_three(self, capsys):
+        # 524,800 sources within the cap, but a 4 GiB table
+        (code, _, err), peak = traced_peak(lambda: run_cli(
+            capsys, "closest-pair", "--n", "2", "--l", "10", "--flip", "0.1"))
+        assert code == 3
+        assert str(524800 * 8 * 1024) in err
+        assert peak < 64 * 2 ** 20
 
     def test_bad_threads_env(self, capsys, monkeypatch):
         monkeypatch.setenv("BMM_THREADS", "zero")
@@ -277,19 +297,28 @@ class TestSimulateCommand:
 
     def test_family_enumerated_once(self, tmp_path, capsys, monkeypatch):
         calls = []
-        real = bmmci.oracle.enumerate_matrices
+        real = bmmci.oracle.canonical_rows
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(bmmci.oracle, "enumerate_matrices", counting)
+        monkeypatch.setattr(bmmci.oracle, "canonical_rows", counting)
         truth = write_matrix(tmp_path / "t.txt", [0, 1, 3], 2)
         code, _, _ = run_cli(capsys, "simulate", "--truth", truth,
                              "--flip", "0.1", "--m-values", "5,15,25",
                              "--trials", "500", "--seed", "9")
         assert code == 0
         assert calls == [(3, 2, bmmci.cli.DEFAULT_MAX_MATRICES)]
+
+    def test_table_budget_exits_three(self, tmp_path, capsys):
+        truth = write_matrix(tmp_path / "t.txt", [0, 1023], 10)
+        (code, _, err), peak = traced_peak(lambda: run_cli(
+            capsys, "simulate", "--truth", truth, "--flip", "0.1",
+            "--m-values", "5,15,25", "--trials", "500", "--seed", "9"))
+        assert code == 3
+        assert "budget" in err
+        assert peak < 64 * 2 ** 20
 
     def test_estimation_failure_exits_one(self, tmp_path, capsys):
         truth = write_matrix(tmp_path / "t.txt", [0, 1], 1)

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 import bmmci.oracle
 from bmmci import (
+    BinaryMatrix,
     FlipProfile,
     InvalidInputError,
     ResourceLimitError,
@@ -19,11 +22,12 @@ from bmmci import (
     random_pair_stream,
 )
 from bmmci.chernoff import chernoff_info_batch
-from bmmci.oracle import family_table
+from bmmci.oracle import canonical_rows, family_table
 
 
 def _family_logs(n, l, profile):
-    matrices, probs = family_table(n, l, profile, 10 ** 6)
+    rows, probs = family_table(n, l, profile, 10 ** 6)
+    matrices = [BinaryMatrix(tuple(r), l) for r in rows.tolist()]
     with np.errstate(divide="ignore"):
         return matrices, np.log(probs)
 
@@ -86,6 +90,36 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError) as err:
             list(enumerate_matrices(12, 3, max_matrices=10_000))
         assert "50388" in str(err.value)
+
+    def test_rows_match_combinations(self):
+        for n in range(1, 6):
+            for l in range(1, 5):
+                expected = np.array(
+                    list(combinations_with_replacement(range(2 ** l), n)))
+                assert np.array_equal(canonical_rows(n, l), expected)
+
+    def test_cap_checked_before_allocation(self):
+        # the 2**39 sources of 2 rows of 20 bits would fill 8 TiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as err:
+                canonical_rows(2, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(count_matrices(2, 20)) in str(err.value)
+        assert peak < 2 ** 20
+
+    def test_table_budget(self, monkeypatch):
+        # 10 sources x 4 outcomes x 8 bytes is exactly 320 bytes
+        profile = FlipProfile.constant(0.1, 2)
+        monkeypatch.setattr(bmmci.oracle, "_TABLE_BYTES", 320)
+        rows, probs = family_table(2, 2, profile, 10 ** 6)
+        assert probs.shape == (10, 4)
+        monkeypatch.setattr(bmmci.oracle, "_TABLE_BYTES", 319)
+        with pytest.raises(ResourceLimitError) as err:
+            family_table(2, 2, profile, 10 ** 6)
+        assert "320 bytes" in str(err.value)
 
 
 class TestClosestPair:
@@ -207,7 +241,7 @@ class TestExactness:
         probs[:, 0] += 0.05 * np.array([1, 2, 3, 3, 4, 5, 6, 6, 7, 8])
         probs[:, 1:] -= probs[:, :1] / 3 - 0.25 / 3
         monkeypatch.setattr(bmmci.oracle, "family_table",
-                            lambda *args: (matrices, probs))
+                            lambda *args: (canonical_rows(2, 2), probs))
         monkeypatch.setattr(bmmci.oracle, "_TILE_MADDS", 4 * 4)
         res = closest_pair(2, 2, FlipProfile.constant(0.1, 2))
         assert (res.min_ci, res.pair.a, res.pair.b) == (
@@ -221,7 +255,7 @@ class TestExactness:
         probs = np.array([[0.2, 0.8], [0.8, 0.2], [0.75, 0.25],
                           [0.5, 0.5], [0.25, 0.75], [0.6, 0.4]])
         monkeypatch.setattr(bmmci.oracle, "family_table",
-                            lambda *args: (matrices, probs))
+                            lambda *args: (canonical_rows(5, 1), probs))
         monkeypatch.setattr(bmmci.oracle, "_TILE_MADDS", 4 * 2)
         res = closest_pair(5, 1, FlipProfile.constant(0.1, 1))
         assert (res.pair.a, res.pair.b) == (matrices[0], matrices[4])
@@ -245,6 +279,15 @@ class TestExactErrorExponent:
         with pytest.raises(InvalidInputError):
             exact_error_exponent(canonicalize([0, 1], 1),
                                  FlipProfile.constant(0.1, 2))
+
+    @pytest.mark.parametrize("n,l", [(3, 1), (2, 2)])
+    def test_truth_outside_table(self, n, l):
+        # a table of 2-row, 1-column sources holds neither truth
+        profile = FlipProfile.constant(0.1, l)
+        table = family_table(2, 1, FlipProfile.constant(0.1, 1), 10 ** 6)
+        with pytest.raises(InvalidInputError):
+            exact_error_exponent(canonicalize(range(n), l), profile,
+                                 table=table)
 
 
 class TestRandomPairStream:

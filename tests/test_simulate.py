@@ -211,6 +211,15 @@ class TestErrorCounts:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_truth_outside_table(self):
+        # the table holds 3-row, 2-column sources; the truth has 3 rows of 1
+        cfg = SimConfig(truth=TRUTH, profile=PROFILE, m_values=(5,),
+                        trials=10, seed=0)
+        table = family_table(3, 2, FlipProfile.constant(0.1, 2),
+                             DEFAULT_MAX_MATRICES)
+        with pytest.raises(InvalidInputError):
+            simulate._error_counts(cfg, table)
+
 
 class TestEstimateExponent:
     def test_reproducible(self):
