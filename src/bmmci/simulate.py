@@ -10,17 +10,29 @@ Maximum likelihood reads only the outcome counts, and under the truth those
 are Multinomial(m, p_truth), so a trial draws its counts, not its m
 observations.  A rival is scored by the log-likelihood ratio
 ``counts · (log p_rival - log p_truth)``, which is exactly 0 for a rival with
-the truth's probabilities; a score within rounding of 0 is a tie.  Rivals
-are scored a tile at a time in enumeration order; a trial leaves once some
-rival ties or beats the truth, and the scoring of a block stops when no
-trial is left.
+the truth's probabilities; a score within rounding of 0 is a tie.  A trial
+leaves once some rival ties or beats the truth, and the scoring of a block
+stops when no trial is left.
+
+Rivals are scored a tile at a time, in groups of consecutive rivals taken
+nearest group first, so that losing trials leave early; since a trial is an
+error exactly when some rival ties or beats the truth, the order cannot
+change the counts (rivals that fit in one tile keep enumeration order).
+The first tile is scored directly.  Past it, most trials are won by the
+truth, and a whole group is cleared at once by its envelope, the
+outcome-wise largest ratio over its members: counts are nonnegative, so
+``counts · envelope`` bounds every member's score from above, and a trial
+whose envelope score is below twice the group's largest tie threshold beats
+every member.  The margin covers the rounding of both products; a sentinel
+entry can only lower the envelope score, and every member's score with it.
+Only the trials some group leaves open are scored against the whole tile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +51,10 @@ _TRIAL_BLOCK = 4096
 # Rivals scored per matrix product: a full trial block against a tile is an
 # 8 MiB product, whatever the size of the family.
 _RIVAL_TILE = 256
+# Consecutive rivals sharing one likelihood envelope.  On a 3x6 truth at
+# f = 0.2 and m = 10..40, envelopes of 8 clear 94-99% of the (correct
+# trial, group) pairs; envelopes of 16 clear only 76-94%.
+_GROUP = 8
 # Candidates assigning probability 0 to an observed word must never win;
 # this sentinel keeps the ratios finite (a zero on both sides gives 0, not
 # nan) while dominating any real log likelihood.
@@ -49,7 +65,9 @@ _LOG_ZERO = -1e18
 # units in the last place either side of 0.  A score above
 # -m * _TIE_RTOL * (1 + max |log p|), summed over both sources, counts as a
 # tie; the rounding is about (N + 2**L) * 2**-53 of that scale, below
-# 1e-12 for N + 2**L up to about 9,000.
+# 1e-12 for N + 2**L up to about 9,000.  A group envelope's score rounds
+# within the same scale, so an envelope score below twice its group's
+# largest threshold leaves every member's score below that member's own.
 _TIE_RTOL = 1e-12
 
 
@@ -112,24 +130,53 @@ def sample_observations(truth: BinaryMatrix, profile: FlipProfile, m: int,
     return words
 
 
-def _rival_ratios(probs: np.ndarray, truth_idx: int
+def _rival_ratios(probs: np.ndarray, truth_idx: int,
+                  order: Callable[[np.ndarray], np.ndarray] | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Per-rival log-probability ratios against the truth and their tie slack.
 
-    Returns ``(ratios, slack)``: row r of ``ratios`` is
-    ``log p_r - log p_truth`` over the outcomes for the r-th other candidate
-    in enumeration order, and a score ``counts @ ratios[r]`` of at least
-    ``-m * slack[r]`` is a tie or a win for that rival.
+    Returns ``(ratios, slack)``: row i of ``ratios`` is
+    ``log p_r - log p_truth`` over the outcomes for the i-th rival r in
+    scoring order, and a score ``counts @ ratios[i]`` of at least
+    ``-m * slack[i]`` is a tie or a win for that rival.  The scoring order
+    is enumeration order, or ``order(nearness)``: positions into the rivals
+    in enumeration order, given each one's ``log p_r · p_truth``.
     """
     with np.errstate(divide="ignore"):
-        log_probs = np.log(probs)
+        logs = np.log(probs)
     # Over each source's support only: a sentinel entry is met by zero
     # counts (exact) or decides the trial by far more than any slack.
-    magnitude = np.where(probs > 0.0, np.abs(log_probs), 0.0).max(axis=1) + 1.0
-    np.maximum(log_probs, _LOG_ZERO, out=log_probs)
-    ratios = np.delete(log_probs, truth_idx, axis=0) - log_probs[truth_idx]
-    slack = np.delete(magnitude, truth_idx) + magnitude[truth_idx]
+    magnitude = 1.0 - np.log(np.min(probs, axis=1, where=probs > 0.0,
+                                    initial=np.inf))
+    np.maximum(logs, _LOG_ZERO, out=logs)
+    rivals = np.delete(np.arange(probs.shape[0]), truth_idx)
+    if order is not None:
+        rivals = rivals[order((logs @ probs[truth_idx])[rivals])]
+    ratios = logs[rivals]
+    ratios -= logs[truth_idx]
+    slack = magnitude[rivals] + magnitude[truth_idx]
     return ratios, _TIE_RTOL * slack
+
+
+def _nearest_groups_first(nearness: np.ndarray) -> np.ndarray:
+    """Positions of the rivals in groups of ``_GROUP``, nearest group first.
+
+    A group is ``_GROUP`` rivals consecutive in enumeration order, and a
+    short last group is padded with copies of its last rival, which changes
+    no envelope and no decision.  Groups are ordered by their largest
+    ``nearness``, descending.
+    """
+    n = nearness.size
+    groups = np.minimum(np.arange(-(-n // _GROUP) * _GROUP),
+                        n - 1).reshape(-1, _GROUP)
+    return groups[np.argsort(-nearness[groups].max(axis=1),
+                             kind="stable")].ravel()
+
+
+def _ties_or_beats(counts: np.ndarray, ratios: np.ndarray,
+                   thresholds: np.ndarray) -> np.ndarray:
+    """Per trial, whether some row of ``ratios`` reaches its threshold."""
+    return (counts @ ratios.T >= thresholds).any(axis=1)
 
 
 def ml_decide(observations: Sequence[int], profile: FlipProfile,
@@ -163,26 +210,42 @@ def _error_counts(cfg: SimConfig,
     """Errors among ``cfg.trials`` simulated trials, one count per m."""
     _, probs = table
     truth_idx = family_index(table, cfg.truth)
-    ratios, slack = _rival_ratios(probs, truth_idx)
+    if probs.shape[0] - 1 <= _RIVAL_TILE:
+        # one tile holds every rival: no later tile to order or screen, and
+        # a padded short group would only widen the one product
+        ratios, slack = _rival_ratios(probs, truth_idx)
+    else:
+        ratios, slack = _rival_ratios(probs, truth_idx,
+                                      _nearest_groups_first)
+        envelopes = ratios.reshape(-1, _GROUP, ratios.shape[1]).max(axis=1)
+        envelope_slack = 2.0 * slack.reshape(-1, _GROUP).max(axis=1)
     n_blocks = (cfg.trials + _TRIAL_BLOCK - 1) // _TRIAL_BLOCK
     point_streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.m_values))
     per_m = []
     for m, point_stream in zip(cfg.m_values, point_streams):
         errors = 0
-        for block, stream in enumerate(point_stream.spawn(n_blocks)):
+        for block in range(n_blocks):
             n_here = min(_TRIAL_BLOCK, cfg.trials - block * _TRIAL_BLOCK)
-            rng = np.random.default_rng(stream)
+            rng = np.random.default_rng(point_stream.spawn(1)[0])
             # with m == 0 every count is 0, so every rival ties: all errors
             counts = rng.multinomial(m, probs[truth_idx], size=n_here)
             counts = counts.astype(float)
-            for start in range(0, ratios.shape[0], _RIVAL_TILE):
-                stop = start + _RIVAL_TILE
-                lost = (counts @ ratios[start:stop].T
-                        >= -m * slack[start:stop]).any(axis=1)
-                errors += int(np.count_nonzero(lost))
-                counts = counts[~lost]
+            lost = _ties_or_beats(counts, ratios[:_RIVAL_TILE],
+                                  -m * slack[:_RIVAL_TILE])
+            errors += int(np.count_nonzero(lost))
+            counts = counts[~lost]
+            for start in range(_RIVAL_TILE, ratios.shape[0], _RIVAL_TILE):
                 if counts.shape[0] == 0:
                     break
+                tile = slice(start, start + _RIVAL_TILE)
+                groups = slice(start // _GROUP, -(-tile.stop // _GROUP))
+                # only a trial that some envelope leaves open can lose here
+                lost = _ties_or_beats(counts, envelopes[groups],
+                                      -m * envelope_slack[groups])
+                lost[lost] = _ties_or_beats(counts[lost], ratios[tile],
+                                            -m * slack[tile])
+                errors += int(np.count_nonzero(lost))
+                counts = counts[~lost]
         per_m.append(errors)
     return per_m
 

@@ -19,7 +19,7 @@ from bmmci import (
     wilson_interval,
 )
 from bmmci import simulate
-from bmmci.oracle import DEFAULT_MAX_MATRICES, family_table
+from bmmci.oracle import DEFAULT_MAX_MATRICES, family_source, family_table
 
 TRUTH = canonicalize([0, 1, 1], 1)
 PROFILE = FlipProfile.constant(0.1, 1)
@@ -34,6 +34,58 @@ def error_counts(truth, profile, m_values, trials, seed):
     table = family_table(truth.n_rows, truth.n_cols, profile,
                          DEFAULT_MAX_MATRICES)
     return simulate._error_counts(cfg, table)
+
+
+def reference_error_counts(cfg, table):
+    """Every rival scored in enumeration order, tiles of 256, no screen."""
+    rows, probs = table
+    truth_idx = next(i for i in range(len(rows))
+                     if family_source(rows, i, cfg.truth.n_cols) == cfg.truth)
+    with np.errstate(divide="ignore"):
+        log_probs = np.log(probs)
+    magnitude = np.where(probs > 0.0, np.abs(log_probs), 0.0).max(axis=1) + 1.0
+    np.maximum(log_probs, simulate._LOG_ZERO, out=log_probs)
+    ratios = np.delete(log_probs, truth_idx, axis=0) - log_probs[truth_idx]
+    slack = simulate._TIE_RTOL * (np.delete(magnitude, truth_idx)
+                                  + magnitude[truth_idx])
+    block_size = simulate._TRIAL_BLOCK
+    n_blocks = (cfg.trials + block_size - 1) // block_size
+    point_streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.m_values))
+    per_m = []
+    for m, point_stream in zip(cfg.m_values, point_streams):
+        errors = 0
+        for block, stream in enumerate(point_stream.spawn(n_blocks)):
+            n_here = min(block_size, cfg.trials - block * block_size)
+            rng = np.random.default_rng(stream)
+            counts = rng.multinomial(m, probs[truth_idx], size=n_here)
+            counts = counts.astype(float)
+            for start in range(0, ratios.shape[0], 256):
+                stop = start + 256
+                lost = (counts @ ratios[start:stop].T
+                        >= -m * slack[start:stop]).any(axis=1)
+                errors += int(np.count_nonzero(lost))
+                counts = counts[~lost]
+                if counts.shape[0] == 0:
+                    break
+        per_m.append(errors)
+    return per_m
+
+
+# N <= 3, L <= 4; constant flips from noiseless to inverted, and mixed
+# profiles whose 0 and 1 entries put zeros in the table.  Most rival counts
+# are not multiples of 8 (9 at (2, 2), 815 at (3, 4)), so the last group is
+# short; tiles of 1 and 7 screen every family, the default tile only (3, 4).
+REFERENCE_GRID = [
+    (n, l, FlipProfile.constant(f, l))
+    for n, l in ((1, 4), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (3, 4))
+    for f in (0.0, 0.02, 0.2, 0.5, 1.0)
+] + [
+    (3, 2, FlipProfile((0.0, 0.2))),
+    (2, 3, FlipProfile((1.0, 0.02, 0.2))),
+    (3, 3, FlipProfile((0.0, 0.05, 1.0))),
+    (2, 4, FlipProfile((0.0, 0.02, 1.0, 0.2))),
+    (3, 4, FlipProfile((1.0, 0.5, 0.0, 0.05))),
+]
 
 
 def exact_binary_error(ones: int, n_rows: int, f: Fraction, m: int) -> float:
@@ -210,6 +262,37 @@ class TestErrorCounts:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("n,l,profile", REFERENCE_GRID)
+    def test_matches_unscreened_reference(self, monkeypatch, n, l, profile):
+        # blocks of 300 make 1,000 trials four blocks, the last one short
+        monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 300)
+        table = family_table(n, l, profile, DEFAULT_MAX_MATRICES)
+        rows, _ = table
+        for t in sorted({0, len(rows) // 3, len(rows) - 1}):
+            cfg = SimConfig(truth=family_source(rows, t, l), profile=profile,
+                            m_values=(0, 3, 12, 40), trials=1000, seed=t)
+            reference = reference_error_counts(cfg, table)
+            for tile in (1, 7, 256):
+                monkeypatch.setattr(simulate, "_RIVAL_TILE", tile)
+                assert simulate._error_counts(cfg, table) == reference, (
+                    t, tile)
+
+    def test_peak_within_table_multiple(self):
+        # the ratios are gathered once, beside the logs they come from,
+        # and the logs are dropped before any trial is scored
+        truth = canonicalize([0, 5, 9], 6)
+        profile = FlipProfile.constant(0.3, 6)
+        table = family_table(3, 6, profile, DEFAULT_MAX_MATRICES)
+        cfg = SimConfig(truth=truth, profile=profile, m_values=(40,),
+                        trials=4096, seed=0)
+        tracemalloc.start()
+        try:
+            simulate._error_counts(cfg, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * table[1].nbytes
 
     def test_truth_outside_table(self):
         # the table holds 3-row, 2-column sources; the truth has 3 rows of 1
