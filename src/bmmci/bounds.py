@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 from .chernoff import bernoulli_ci, chernoff_info, two_point_ci
 from .exceptions import InvalidInputError, UnsupportedRegimeError
-from .mixtures import BinaryMatrix, FlipProfile, mixture_distribution
+from .mixtures import (BinaryMatrix, FlipProfile, check_profile, check_shape,
+                       check_unit, mixture_distribution)
 from .reductions import MatrixPair, epsilon_gap
 
 REGIME_LOW_NOISE_ODD = "low_noise_odd"
@@ -111,13 +112,6 @@ def decompose(n_rows: int, cal: int) -> tuple[int, int]:
     return k, r
 
 
-def _validate_source_shape(n_rows: int, n_cols: int) -> None:
-    if n_rows < 1:
-        raise InvalidInputError(f"need at least one row, got {n_rows}")
-    if n_cols < 1:
-        raise InvalidInputError(f"need at least one column, got {n_cols}")
-
-
 def worst_case_ci_bounds(n_rows: int, n_cols: int, flip: float) -> BoundReport:
     """Bounds on the minimum Chernoff information over all unequal pairs.
 
@@ -126,36 +120,29 @@ def worst_case_ci_bounds(n_rows: int, n_cols: int, flip: float) -> BoundReport:
     it the bounds are exact precisely when the decomposition remainder
     vanishes.
     """
-    _validate_source_shape(n_rows, n_cols)
-    if not 0.0 <= flip <= 1.0 or flip != flip:
-        raise InvalidInputError(f"flip probability {flip!r} outside [0, 1]")
+    check_shape(n_rows, n_cols)
+    check_unit(flip, "flip probability")
     folded = flip > 0.5
     if folded:
         flip = 1.0 - flip
 
     cal = active_width(n_rows, n_cols)
-    k, r = decompose(n_rows, cal)
     epsilon = epsilon_gap(flip, cal, n_rows)
+    if flip > 0.25:
+        return _high_noise_report(n_rows, cal, epsilon, REGIME_HIGH_NOISE,
+                                  folded)
 
-    if flip <= 0.25:
-        eta = _eta(flip, n_rows)
-        lower = two_point_ci(eta)
-        deco = Decomposition(cal=cal, k=k, r=r, epsilon=epsilon, eta=eta)
-        if n_rows % 2 == 1:
-            return BoundReport(lower=lower, upper=lower,
-                               regime=REGIME_LOW_NOISE_ODD, tight=True,
-                               decomposition=deco, f_folded=folded)
-        return BoundReport(lower=lower, upper=_even_n_upper(n_rows, flip),
-                           regime=REGIME_LOW_NOISE_EVEN, tight=False,
+    k, r = decompose(n_rows, cal)
+    eta = _eta(flip, n_rows)
+    lower = two_point_ci(eta)
+    deco = Decomposition(cal=cal, k=k, r=r, epsilon=epsilon, eta=eta)
+    if n_rows % 2 == 1:
+        return BoundReport(lower=lower, upper=lower,
+                           regime=REGIME_LOW_NOISE_ODD, tight=True,
                            decomposition=deco, f_folded=folded)
-
-    lower = two_point_ci(epsilon)
-    # With no remainder the two formulas coincide; reuse the lower value so
-    # a tight report is exactly self-consistent.
-    upper = lower if r == 0 else _high_noise_upper(n_rows, r, epsilon)
-    deco = Decomposition(cal=cal, k=k, r=r, epsilon=epsilon, eta=None)
-    return BoundReport(lower=lower, upper=upper, regime=REGIME_HIGH_NOISE,
-                       tight=(r == 0), decomposition=deco, f_folded=folded)
+    return BoundReport(lower=lower, upper=_even_n_upper(n_rows, flip),
+                       regime=REGIME_LOW_NOISE_EVEN, tight=False,
+                       decomposition=deco, f_folded=folded)
 
 
 def _high_noise_upper(n_rows: int, r: int, epsilon: float) -> float:
@@ -166,6 +153,19 @@ def _high_noise_upper(n_rows: int, r: int, epsilon: float) -> float:
     return -math.log(inner)
 
 
+def _high_noise_report(n_rows: int, cal: int, epsilon: float, regime: str,
+                       folded: bool) -> BoundReport:
+    """The two-point bounds of gap ``epsilon`` on ``cal`` active columns."""
+    k, r = decompose(n_rows, cal)
+    lower = two_point_ci(epsilon)
+    # With no remainder the two formulas coincide; reuse the lower value so
+    # a tight report is exactly self-consistent.
+    upper = lower if r == 0 else _high_noise_upper(n_rows, r, epsilon)
+    deco = Decomposition(cal=cal, k=k, r=r, epsilon=epsilon, eta=None)
+    return BoundReport(lower=lower, upper=upper, regime=regime,
+                       tight=(r == 0), decomposition=deco, f_folded=folded)
+
+
 def worst_case_ci_bounds_profile(n_rows: int, n_cols: int,
                                  profile: FlipProfile) -> BoundReport:
     """Per-column generalization driven by the columns noisier than 1/4.
@@ -173,11 +173,8 @@ def worst_case_ci_bounds_profile(n_rows: int, n_cols: int,
     With no such column the formulas are undefined and the call fails
     explicitly rather than guessing a regime.
     """
-    _validate_source_shape(n_rows, n_cols)
-    if len(profile) != n_cols:
-        raise InvalidInputError(
-            f"profile length {len(profile)} != column count {n_cols}"
-        )
+    check_shape(n_rows, n_cols)
+    check_profile(profile, n_cols)
     folded = any(f > 0.5 for f in profile.flips)
     flips = [min(f, 1.0 - f) for f in profile.flips]
     gamma = sum(1 for f in flips if f > 0.25)
@@ -187,18 +184,12 @@ def worst_case_ci_bounds_profile(n_rows: int, n_cols: int,
             "undefined in this regime"
         )
     cal = min(gamma, n_rows.bit_length())
-    k, r = decompose(n_rows, cal)
     largest = sorted(flips, reverse=True)[:cal]
     product = 1.0
     for f in largest:
         product *= 1.0 - 2.0 * f
     epsilon = (1 << (cal - 1)) * product / n_rows
-
-    lower = two_point_ci(epsilon)
-    upper = lower if r == 0 else _high_noise_upper(n_rows, r, epsilon)
-    deco = Decomposition(cal=cal, k=k, r=r, epsilon=epsilon, eta=None)
-    return BoundReport(lower=lower, upper=upper, regime=REGIME_GENERALIZED,
-                       tight=(r == 0), decomposition=deco, f_folded=folded)
+    return _high_noise_report(n_rows, cal, epsilon, REGIME_GENERALIZED, folded)
 
 
 CONSTRUCTION_HAMMING_ONE = "hamming_one_odd"
@@ -209,11 +200,9 @@ CONSTRUCTION_NEAR_OPTIMAL = "near_optimal_noisy"
 def build_hamming_one_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPair:
     """Low-noise extremal pair for odd N: two words at Hamming distance one
     with multiplicities n and n+1, swapped between the sides."""
-    _validate_source_shape(n_rows, n_cols)
+    check_shape(n_rows, n_cols)
     if n_rows % 2 == 0:
         raise InvalidInputError(f"odd row count required, got {n_rows}")
-    if not 0.0 <= flip <= 1.0:
-        raise InvalidInputError(f"flip probability {flip!r} outside [0, 1]")
     n = (n_rows - 1) // 2
     v1, v2 = 0, 1
     rows_a = (v1,) * n + (v2,) * (n + 1)
@@ -235,11 +224,9 @@ def build_even_n_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPair:
     Its value reduces exactly to the Bernoulli pair (1/2, 1/2 + eta_N); the
     stored upper bound is the weaker closed form it certifies.
     """
-    _validate_source_shape(n_rows, n_cols)
+    check_shape(n_rows, n_cols)
     if n_rows % 2 == 1 or n_rows < 2:
         raise InvalidInputError(f"even row count >= 2 required, got {n_rows}")
-    if not 0.0 <= flip <= 1.0:
-        raise InvalidInputError(f"flip probability {flip!r} outside [0, 1]")
     n = n_rows // 2
     v1, v2 = 0, 1
     rows_a = (v1,) * (n - 1) + (v2,) * (n + 1)
@@ -268,9 +255,7 @@ def build_parity_split_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPa
     is padded with R copies of the zero word on both sides.  When R = 0 the
     value meets the high-noise lower bound exactly.
     """
-    _validate_source_shape(n_rows, n_cols)
-    if not 0.0 <= flip <= 1.0:
-        raise InvalidInputError(f"flip probability {flip!r} outside [0, 1]")
+    check_shape(n_rows, n_cols)
     cal = active_width(n_rows, n_cols)
     k, r = decompose(n_rows, cal)
     n = (k - 1) // 2
@@ -314,7 +299,7 @@ def phase_sweep(n_rows: int, n_cols: int,
     Emits (f, low-noise bound, high-noise bound) per grid point; the two
     values coincide exactly at f = 1/4, where both gaps equal 1/(2N).
     """
-    _validate_source_shape(n_rows, n_cols)
+    check_shape(n_rows, n_cols)
     cal = active_width(n_rows, n_cols)
     out = []
     for f in f_grid:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .mixtures import MixtureDistribution
+from .mixtures import MixtureDistribution, check_unit
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = 1.0 - _INVPHI
@@ -139,8 +139,7 @@ def f_lambda(p1, p2, lam: float) -> float:
     a1, a2 = _as_probs(p1), _as_probs(p2)
     if a1.shape != a2.shape:
         raise InvalidInputError(f"dimension mismatch: {a1.shape} vs {a2.shape}")
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidInputError(f"lambda {lam!r} outside [0, 1]")
+    check_unit(lam, "lambda")
     common = (a1 > 0.0) & (a2 > 0.0)
     if not common.any():
         return 0.0
@@ -166,9 +165,8 @@ def chernoff_info(p1, p2) -> ChernoffResult:
 
 def bernoulli_ci(p: float, q: float) -> float:
     """Chernoff information between Bernoulli(p) and Bernoulli(q)."""
-    for name, value in (("p", p), ("q", q)):
-        if not 0.0 <= value <= 1.0 or value != value:
-            raise InvalidInputError(f"{name}={value!r} outside [0, 1]")
+    check_unit(p, "p")
+    check_unit(q, "q")
     return chernoff_info([1.0 - p, p], [1.0 - q, q]).value
 
 
@@ -187,6 +185,5 @@ def symmetric_ci(epsilon: float) -> float:
 
     Equals ``-log sqrt(1 - e^2)``; infinite at e = 1.
     """
-    if not 0.0 <= epsilon <= 1.0 or epsilon != epsilon:
-        raise InvalidInputError(f"epsilon={epsilon!r} outside [0, 1]")
+    check_unit(epsilon, "epsilon")
     return two_point_ci(epsilon)

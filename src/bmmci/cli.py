@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -126,20 +125,9 @@ def _parse_profile(args, n_cols: int) -> FlipProfile:
     return FlipProfile.constant(args.flip, n_cols)
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        value = args.threads
-    else:
-        raw = os.environ.get("BMM_THREADS")
-        if raw is None:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise CliUsageError(f"BMM_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise CliUsageError(f"--threads must be >= 1, got {value}")
-    return value
+def _check_threads(args) -> None:
+    if args.threads is not None and args.threads < 1:
+        raise CliUsageError(f"--threads must be >= 1, got {args.threads}")
 
 
 def _profile_list(profile: FlipProfile) -> list[float]:
@@ -212,9 +200,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_closest_pair(args) -> int:
     profile = _parse_profile(args, args.l)
+    _check_threads(args)
     result = closest_pair(args.n, args.l, profile,
-                          max_matrices=args.max_matrices,
-                          threads=_resolve_threads(args))
+                          max_matrices=args.max_matrices)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "closest-pair",
@@ -263,7 +251,8 @@ def _cmd_sweep(args) -> int:
     if args.format == "csv":
         lines = ["f,bound_low_noise_nats,bound_high_noise_nats"]
         for f, low, high in rows:
-            lines.append(",".join(_csv_float(v) for v in (f, low, high)))
+            lines.append(",".join(_fmt_float(v).strip('"')
+                                  for v in (f, low, high)))
         _emit("\n".join(lines) + "\n", args.out)
     else:
         report = {
@@ -278,12 +267,6 @@ def _cmd_sweep(args) -> int:
         }
         _emit(dumps_report(report) + "\n", args.out)
     return 0
-
-
-def _csv_float(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
 
 
 def _cmd_simulate(args) -> int:
@@ -330,9 +313,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     profile = _parse_profile(args, args.l)
     bound_report = _compute_bounds(args, profile)
+    _check_threads(args)
     result = closest_pair(args.n, args.l, profile,
-                          max_matrices=args.max_matrices,
-                          threads=_resolve_threads(args))
+                          max_matrices=args.max_matrices)
     tol = 1e-9
     in_sandwich = (bound_report.lower - tol <= result.min_ci
                    <= bound_report.upper + tol)

@@ -15,12 +15,41 @@ from typing import Iterable
 
 import numpy as np
 
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, ResourceLimitError
 
 # Dense 2**L vectors are the computation model; 30 keeps them addressable.
 MAX_COLS = 30
+# Largest array one call may build, in bytes: a family table or its rows
+# array, or the (distinct rows, 2**L) gather behind one mixture vector.
+_BUDGET_BYTES = 1 << 30
 
 NORMALIZATION_TOL = 1e-12
+
+
+def check_shape(n_rows: int, n_cols: int) -> None:
+    """Refuse a source shape with no rows or no columns."""
+    if n_rows < 1 or n_cols < 1:
+        raise InvalidInputError(f"need N >= 1 and L >= 1, got {n_rows}, {n_cols}")
+
+
+def check_unit(value: float, name: str) -> None:
+    """Refuse a ``value`` outside [0, 1], NaN included, reported as ``name``."""
+    if not 0.0 <= value <= 1.0:
+        raise InvalidInputError(f"{name} {value!r} outside [0, 1]")
+
+
+def check_profile(profile: FlipProfile, n_cols: int) -> None:
+    """Refuse a profile whose length is not the column count."""
+    if len(profile) != n_cols:
+        raise InvalidInputError(
+            f"profile length {len(profile)} != column count {n_cols}")
+
+
+def check_budget(n_bytes: int, what: str) -> None:
+    """Refuse, with ``ResourceLimitError``, an array over ``_BUDGET_BYTES``."""
+    if n_bytes > _BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"{what} needs {n_bytes} bytes, over the budget of {_BUDGET_BYTES}")
 
 
 def drop_bit(word: int, col: int) -> int:
@@ -97,8 +126,7 @@ class FlipProfile:
         if len(flips) == 0:
             raise InvalidInputError("flip profile must have at least one entry")
         for f in flips:
-            if not 0.0 <= f <= 1.0 or f != f:
-                raise InvalidInputError(f"flip probability {f!r} outside [0, 1]")
+            check_unit(f, "flip probability")
         object.__setattr__(self, "flips", flips)
 
     @classmethod
@@ -160,16 +188,18 @@ def channel_kernel(profile: FlipProfile) -> np.ndarray:
 
 
 def mixture_distribution(m: BinaryMatrix, fp: FlipProfile) -> MixtureDistribution:
-    """Channel-output distribution of a source, each row carrying weight 1/N."""
-    if len(fp) != m.n_cols:
-        raise InvalidInputError(
-            f"profile length {len(fp)} != column count {m.n_cols}"
-        )
-    if m.n_rows == 0:
-        raise InvalidInputError("source matrix must have at least one row")
+    """Channel-output distribution of a source, each row carrying weight 1/N.
+
+    Its (distinct rows, 2**L) gather over ``_BUDGET_BYTES`` raises
+    ``ResourceLimitError`` before the kernel is built.
+    """
+    check_shape(m.n_rows, m.n_cols)
+    check_profile(fp, m.n_cols)
+    mult = m.multiplicities()
+    check_budget(len(mult) * (8 << m.n_cols),
+                 f"the mixture of a {m.n_rows}x{m.n_cols} source")
     kernel = channel_kernel(fp)
     outcomes = np.arange(1 << m.n_cols)
-    mult = m.multiplicities()
     values = np.fromiter(mult.keys(), dtype=np.int64, count=len(mult))
     weights = np.fromiter(mult.values(), dtype=float, count=len(mult))
     probs = weights @ kernel[values[:, None] ^ outcomes[None, :]]

@@ -22,7 +22,8 @@ import numpy as np
 from .chernoff import chernoff_info  # noqa: F401  looked up by bench/spans.py
 from .chernoff import chernoff_info_batch
 from .exceptions import InvalidInputError, ResourceLimitError
-from .mixtures import BinaryMatrix, FlipProfile, channel_kernel, mixture_probs_table
+from .mixtures import (BinaryMatrix, FlipProfile, channel_kernel, check_budget,
+                       check_profile, check_shape, mixture_probs_table)
 from .reductions import MatrixPair
 
 DEFAULT_MAX_MATRICES = 10 ** 6
@@ -37,9 +38,6 @@ PRUNE_MARGIN = 1e-9
 _TILE_MADDS = 1 << 18
 # Survivors per solver call, which bounds the solver's memory.
 _SOLVE_PAIRS = 1 << 14
-# Largest mixture table ``family_table`` builds, in bytes.  Its rows and its
-# (2**L, 2**L) array of shifted kernels are never larger than the table.
-_TABLE_BYTES = 1 << 30
 
 
 def count_matrices(n_rows: int, n_cols: int) -> int:
@@ -47,19 +45,8 @@ def count_matrices(n_rows: int, n_cols: int) -> int:
     return math.comb((1 << n_cols) + n_rows - 1, n_rows)
 
 
-def _check_shape(n_rows: int, n_cols: int) -> None:
-    if n_rows < 1 or n_cols < 1:
-        raise InvalidInputError(f"need N >= 1 and L >= 1, got {n_rows}, {n_cols}")
-
-
-def _check_profile(profile: FlipProfile, n_cols: int) -> None:
-    if len(profile) != n_cols:
-        raise InvalidInputError(
-            f"profile length {len(profile)} != column count {n_cols}")
-
-
 def _family_size(n_rows: int, n_cols: int, max_matrices: int) -> int:
-    _check_shape(n_rows, n_cols)
+    check_shape(n_rows, n_cols)
     total = count_matrices(n_rows, n_cols)
     if total > max_matrices:
         raise ResourceLimitError(
@@ -102,15 +89,16 @@ def family_table(n_rows: int, n_cols: int, profile: FlipProfile,
 
     Returns ``(rows, probs)`` in enumeration order: ``rows`` is
     ``canonical_rows`` and ``probs[i]`` is the mixture vector of source
-    ``rows[i]`` over the 2**L outcome words.  A table larger than
-    ``_TABLE_BYTES`` raises ``ResourceLimitError`` before anything is built.
+    ``rows[i]`` over the 2**L outcome words.  A profile whose length is not
+    L raises ``InvalidInputError``.  A table or an (M, N) rows array over
+    the budget of ``check_budget`` raises ``ResourceLimitError`` before
+    anything is built; the (2**L, 2**L) shifted kernels are never larger
+    than the table, since M >= 2**L.
     """
-    table_bytes = _family_size(n_rows, n_cols, max_matrices) * (8 << n_cols)
-    if table_bytes > _TABLE_BYTES:
-        raise ResourceLimitError(
-            f"the mixture table for N={n_rows}, L={n_cols} needs "
-            f"{table_bytes} bytes, over the budget of {_TABLE_BYTES}"
-        )
+    check_profile(profile, n_cols)
+    check_budget(_family_size(n_rows, n_cols, max_matrices) * 8
+                 * max(n_rows, 1 << n_cols),
+                 f"the family table for N={n_rows}, L={n_cols}")
     rows = canonical_rows(n_rows, n_cols, max_matrices)
     return rows, mixture_probs_table(rows, channel_kernel(profile))
 
@@ -211,19 +199,14 @@ def _min_pair(probs, row_blocks) -> tuple[tuple, int]:
 
 
 def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
-                 max_matrices: int = DEFAULT_MAX_MATRICES,
-                 threads: int = 1) -> ClosestPairResult:
+                 max_matrices: int = DEFAULT_MAX_MATRICES) -> ClosestPairResult:
     """Exact minimum-Chernoff-information pair over the whole family.
 
     Distinct sources with identical output distributions are reported with
     ``min_ci = 0`` rather than skipped.  Ties are broken by lexicographic
-    pair order, making the result independent of evaluation schedule.
-    ``threads`` is validated but does not change the schedule; the scan
-    runs on the calling thread.
+    pair order, making the result independent of the tile schedule; the
+    scan runs on the calling thread.
     """
-    _check_profile(profile, n_cols)
-    if threads < 1:
-        raise InvalidInputError(f"threads must be >= 1, got {threads}")
     rows, probs = family_table(n_rows, n_cols, profile, max_matrices)
     n = rows.shape[0]  # at least 2: N, L >= 1
     side = max(1, math.isqrt(_TILE_MADDS // probs.shape[1]))
@@ -255,7 +238,6 @@ def exact_error_exponent(truth: BinaryMatrix, profile: FlipProfile,
     ``family_table`` under ``profile``, for a caller that already built it;
     otherwise it is built here.
     """
-    _check_profile(profile, truth.n_cols)
     if table is None:
         table = family_table(truth.n_rows, truth.n_cols, profile, max_matrices)
     rows, probs = table
@@ -278,8 +260,8 @@ def random_pair_stream(n_rows: int, n_cols: int, count: int, seed: int,
     the other n* copies of every odd-parity word, plus a shared random
     padding multiset, so every emitted pair is critical by construction.
     """
-    _check_shape(n_rows, n_cols)
-    _check_profile(profile, n_cols)
+    check_shape(n_rows, n_cols)
+    check_profile(profile, n_cols)
     if count < 0:
         raise InvalidInputError(f"count must be >= 0, got {count}")
     half = 1 << (n_cols - 1)

@@ -20,6 +20,8 @@ from .mixtures import (
     BinaryMatrix,
     DeltaResult,
     FlipProfile,
+    check_profile,
+    check_unit,
     delta_reduce,
     drop_bit,
     mixture_distribution,
@@ -43,10 +45,7 @@ class MatrixPair:
             raise InvalidInputError(
                 f"row-count mismatch: {self.a.n_rows} vs {self.b.n_rows}"
             )
-        if len(self.profile) != self.a.n_cols:
-            raise InvalidInputError(
-                f"profile length {len(self.profile)} != {self.a.n_cols} columns"
-            )
+        check_profile(self.profile, self.a.n_cols)
 
     @property
     def n_cols(self) -> int:
@@ -68,8 +67,7 @@ def epsilon_gap(flip: float, width: int, n_rows: int) -> float:
 
 def g_map(f: float) -> float:
     """Column informativeness measure g(f) = 1 - 2f."""
-    if not 0.0 <= f <= 1.0 or f != f:
-        raise InvalidInputError(f"flip probability {f!r} outside [0, 1]")
+    check_unit(f, "flip probability")
     return 1.0 - 2.0 * f
 
 
@@ -78,9 +76,8 @@ def merged_flip(fi: float, fj: float) -> float:
 
     Satisfies g(result) = g(fi) * g(fj): a merge multiplies informativeness.
     """
-    for f in (fi, fj):
-        if not 0.0 <= f <= 1.0 or f != f:
-            raise InvalidInputError(f"flip probability {f!r} outside [0, 1]")
+    check_unit(fi, "flip probability")
+    check_unit(fj, "flip probability")
     return fi * (1.0 - fj) + (1.0 - fi) * fj
 
 

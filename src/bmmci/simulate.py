@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import EstimationError, InvalidInputError
-from .mixtures import BinaryMatrix, FlipProfile
+from .mixtures import BinaryMatrix, FlipProfile, check_profile, check_shape
 from .mixtures import mixture_probs_table  # noqa: F401  looked up by bench/spans.py
 from .oracle import (DEFAULT_MAX_MATRICES, family_index, family_source,
                      family_table)
@@ -80,8 +80,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if len(self.profile) != self.truth.n_cols:
-            raise InvalidInputError("profile length must match the truth matrix")
+        check_profile(self.profile, self.truth.n_cols)
         if self.trials < 1:
             raise InvalidInputError(f"trials must be >= 1, got {self.trials}")
         m_values = tuple(int(m) for m in self.m_values)
@@ -119,10 +118,8 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
 def sample_observations(truth: BinaryMatrix, profile: FlipProfile, m: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Draw m observations: uniform row choice, then independent column flips."""
-    if len(profile) != truth.n_cols:
-        raise InvalidInputError("profile length must match the truth matrix")
-    if truth.n_rows == 0:
-        raise InvalidInputError("truth matrix must have at least one row")
+    check_shape(truth.n_rows, truth.n_cols)
+    check_profile(profile, truth.n_cols)
     rows = np.array(truth.rows, dtype=np.int64)
     words = rows[rng.integers(0, rows.shape[0], size=m)]
     for col, f in enumerate(profile.flips):

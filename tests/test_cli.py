@@ -68,6 +68,16 @@ class TestCiCommand:
         assert code == 0
         assert json.loads(out)["profile"] == [0.3, 0.1]
 
+    def test_outcome_budget_exits_three(self, tmp_path, capsys):
+        # one row of 30 columns: an 8 GiB vector over the 2**30 outcomes
+        a = write_matrix(tmp_path / "a.txt", [0], 30)
+        b = write_matrix(tmp_path / "b.txt", [1], 30)
+        (code, _, err), peak = traced_peak(lambda: run_cli(
+            capsys, "ci", "--a", a, "--b", b, "--flip", "0.1"))
+        assert code == 3
+        assert str(8 << 30) in err
+        assert peak < 64 * 2 ** 20
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         a = write_matrix(tmp_path / "a.txt", [0], 1)
         code, _, err = run_cli(capsys, "ci", "--a", a, "--b",
@@ -143,17 +153,15 @@ class TestClosestPairCommand:
         assert str(524800 * 8 * 1024) in err
         assert peak < 64 * 2 ** 20
 
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BMM_THREADS", "zero")
-        code, _, err = run_cli(capsys, "closest-pair", "--n", "2", "--l", "1",
-                               "--flip", "0.3")
-        assert code == 2
-
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("BMM_THREADS", "2")
-        code, out, _ = run_cli(capsys, "closest-pair", "--n", "2", "--l", "1",
-                               "--flip", "0.3")
-        assert code == 0
+    def test_rows_budget_exits_three(self, capsys):
+        # 100,001 sources within the cap and a 1.6 MB table, but an 80 GB
+        # (M, N) rows array
+        (code, _, err), peak = traced_peak(lambda: run_cli(
+            capsys, "closest-pair", "--n", "100000", "--l", "1", "--flip",
+            "0.1"))
+        assert code == 3
+        assert str(100001 * 8 * 100000) in err
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("command", ["closest-pair", "verify"])
     def test_zero_threads_flag(self, capsys, command):

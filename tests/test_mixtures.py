@@ -209,3 +209,12 @@ class TestMatrixText:
     def test_rejects_empty(self):
         with pytest.raises(InvalidInputError):
             parse_matrix_text("\n")
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.text(), st.text(alphabet="01\n\r\t \x0bx", max_size=80)))
+    def test_every_text_parses_or_is_refused(self, text):
+        try:
+            m = parse_matrix_text(text)
+        except InvalidInputError:
+            return
+        assert parse_matrix_text(format_matrix_text(m)) == m

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+import bmmci.mixtures
 import bmmci.oracle
 from bmmci import (
     BinaryMatrix,
@@ -113,10 +114,10 @@ class TestEnumeration:
     def test_table_budget(self, monkeypatch):
         # 10 sources x 4 outcomes x 8 bytes is exactly 320 bytes
         profile = FlipProfile.constant(0.1, 2)
-        monkeypatch.setattr(bmmci.oracle, "_TABLE_BYTES", 320)
+        monkeypatch.setattr(bmmci.mixtures, "_BUDGET_BYTES", 320)
         rows, probs = family_table(2, 2, profile, 10 ** 6)
         assert probs.shape == (10, 4)
-        monkeypatch.setattr(bmmci.oracle, "_TABLE_BYTES", 319)
+        monkeypatch.setattr(bmmci.mixtures, "_BUDGET_BYTES", 319)
         with pytest.raises(ResourceLimitError) as err:
             family_table(2, 2, profile, 10 ** 6)
         assert "320 bytes" in str(err.value)
@@ -148,13 +149,6 @@ class TestClosestPair:
         v1 = closest_pair(3, 2, FlipProfile((0.3, 0.1))).min_ci
         v2 = closest_pair(3, 2, FlipProfile((0.1, 0.3))).min_ci
         assert v1 == pytest.approx(v2, abs=1e-12)
-
-    def test_threads_agree_with_serial(self):
-        profile = FlipProfile.constant(0.2, 2)
-        serial = closest_pair(4, 2, profile, threads=1)
-        parallel = closest_pair(4, 2, profile, threads=4)
-        assert serial.min_ci == parallel.min_ci
-        assert serial.pair == parallel.pair
 
     @pytest.mark.parametrize("n,l,flips", [
         (3, 1, (0.15,)),

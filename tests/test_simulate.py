@@ -169,6 +169,14 @@ class TestMlDecide:
         with pytest.raises(InvalidInputError):
             ml_decide([0], PROFILE, 2, 1, TRUTH)
 
+    @pytest.mark.parametrize("flips", [(0.1,), (0.1, 0.1, 0.1)])
+    def test_profile_length_validation(self, flips):
+        # refused as a profile error before the table is built, not as an
+        # IndexError (short) or a truth missing from the table (long)
+        with pytest.raises(InvalidInputError, match="profile length"):
+            ml_decide([0, 1], FlipProfile(flips), 2, 2,
+                      canonicalize([0, 3], 2))
+
     def test_uninformative_channel_is_never_correct(self):
         truth = canonicalize([0, 1, 3], 2)
         profile = FlipProfile.constant(0.5, 2)
