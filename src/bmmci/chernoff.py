@@ -72,23 +72,25 @@ def chernoff_info_batch(logp1: np.ndarray, logp2: np.ndarray
     probability is zero.  Returns ``(values, lambda_stars)``; identical
     pairs and pairs with disjoint supports report lambda 0.5.
     """
-    n = logp1.shape[0]
-    values = np.full(n, math.inf)
-    lams = np.full(n, 0.5)
     identical = np.all(logp1 == logp2, axis=1)
+    values = np.where(identical, 0.0, math.inf)
+    lams = np.full(identical.size, 0.5)
     zero1, zero2 = np.isneginf(logp1), np.isneginf(logp2)
     differ = np.any(zero1 != zero2, axis=1)
-    live = np.ones(n, dtype=bool)
+    # Identical rows are settled at zero and disjoint ones at inf; the rest
+    # are searched, each row on its own, so leaving rows out moves no bits.
+    live = ~identical
     if differ.any():
         # -inf in both rows wherever either is zero, so each interior probe
         # sums over the common support without a mask.
         either = zero1 | zero2
-        live = ~np.all(either, axis=1)
-        logp1 = np.where(either, -np.inf, logp1)[live]
-        logp2 = np.where(either, -np.inf, logp2)[live]
-        differ = differ[live]
+        live &= ~np.all(either, axis=1)
+        logp1 = np.where(either, -np.inf, logp1)
+        logp2 = np.where(either, -np.inf, logp2)
     if not live.any():
         return values, lams
+    if not live.all():
+        logp1, logp2, differ = logp1[live], logp2[live], differ[live]
 
     def log_f(lam: np.ndarray) -> np.ndarray:
         return _logsumexp(lam[:, None] * logp1 + (1.0 - lam[:, None]) * logp2)
@@ -126,7 +128,6 @@ def chernoff_info_batch(logp1: np.ndarray, logp2: np.ndarray
         lam[rows] = np.choose(pick, (lam[rows], 0.0, 1.0))
     values[live] = np.maximum(0.0, -log_f_min) + 0.0  # +0.0 normalizes -0.0
     lams[live] = lam
-    values[identical] = 0.0
     lams[values == 0.0] = 0.5
     return values, lams
 

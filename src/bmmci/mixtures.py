@@ -20,7 +20,7 @@ from .exceptions import InvalidInputError, ResourceLimitError
 # Dense 2**L vectors are the computation model; 30 keeps them addressable.
 MAX_COLS = 30
 # Largest array one call may build, in bytes: a family table or its rows
-# array, or the (distinct rows, 2**L) gather behind one mixture vector.
+# array; for one mixture vector, the arrays its call holds at once.
 _BUDGET_BYTES = 1 << 30
 
 NORMALIZATION_TOL = 1e-12
@@ -190,14 +190,18 @@ def channel_kernel(profile: FlipProfile) -> np.ndarray:
 def mixture_distribution(m: BinaryMatrix, fp: FlipProfile) -> MixtureDistribution:
     """Channel-output distribution of a source, each row carrying weight 1/N.
 
-    Its (distinct rows, 2**L) gather over ``_BUDGET_BYTES`` raises
-    ``ResourceLimitError`` before the kernel is built.
+    The call holds at most 2d + 3 outcome vectors at once, for d distinct
+    rows: the int64 index and the gather, d rows each, beside the kernel,
+    the outcome words and the mixture.  Their bytes over ``_BUDGET_BYTES``
+    raise ``ResourceLimitError`` before the kernel is built.
     """
     check_shape(m.n_rows, m.n_cols)
     check_profile(fp, m.n_cols)
     mult = m.multiplicities()
-    check_budget(len(mult) * (8 << m.n_cols),
-                 f"the mixture of a {m.n_rows}x{m.n_cols} source")
+    vector = 8 << m.n_cols
+    check_budget((2 * len(mult) + 3) * vector,
+                 f"the mixture of a {m.n_rows}x{m.n_cols} source, at {vector}"
+                 f" bytes per outcome vector,")
     kernel = channel_kernel(fp)
     outcomes = np.arange(1 << m.n_cols)
     values = np.fromiter(mult.keys(), dtype=np.int64, count=len(mult))

@@ -9,6 +9,24 @@ pass keeps each tile's largest BC and settles zero-information pairs block
 by block; the pairs of largest BC then warm-start the incumbent, and one
 batch solves every pair whose bound lies within ``PRUNE_MARGIN`` of it.
 Ties go to the first ``(i, j)``, so tile size does not change the result.
+
+The closest pair needs that scan over a small share of the pairs only.
+XOR-ing both sources with one mask permutes the outcomes of both
+distributions alike, so the Chernoff information of ``(S, T)`` equals that
+of ``(S ^ a, T ^ a)`` for every mask and every profile.  Every unordered
+pair therefore has an image ``(r, j)`` with ``r`` the first source of its
+XOR orbit and ``j > r``: map the source whose orbit comes first to its
+orbit's first member.  Phase 1 scans those pairs.  The solver's last bits
+depend on the coordinates, so phase 2 maps every scanned pair within
+``PRUNE_MARGIN`` of the phase-1 minimum to its images and solves them as
+the full scan would, from the table rows in enumeration order.  The true
+minimizer's image lies within rounding of the phase-1 minimum, far inside
+the margin, so it is among them, and the answer is the full scan's to the
+last bit.  When the phase-1 minimum is within the margin of zero, the
+images could cover every pair (at f = 1/2 every pair has zero
+information), so the full scan runs instead.  It stops at the first block
+that holds a zero, and within that block at the first solver call that
+settles one, since the pairs go to the solver in (i, j) order.
 """
 
 from __future__ import annotations
@@ -56,23 +74,76 @@ def _family_size(n_rows: int, n_cols: int, max_matrices: int) -> int:
     return total
 
 
+def _rank_counts(n_rows: int, n_cols: int) -> np.ndarray:
+    """Table behind ``_ranks``, shape (N, 2**L + 1).
+
+    ``counts[p, w]`` is the number of sorted runs of N - p words that
+    start at ``w`` or above, ``comb(2**L - w + N - p - 1, N - p)``; none
+    exceeds the family size, so int64 holds them.
+    """
+    size = 1 << n_cols
+    return np.array([[math.comb(size - w + n_rows - p - 1, n_rows - p)
+                      for w in range(size + 1)] for p in range(n_rows)],
+                    dtype=np.int64)
+
+
 def canonical_rows(n_rows: int, n_cols: int,
                    max_matrices: int = DEFAULT_MAX_MATRICES) -> np.ndarray:
     """Every canonical source as one row of sorted words, shape (M, N).
 
-    Rows come in lexicographic order.  The multisets grow one column at a
-    time: a prefix ending in ``last`` is followed by each of
-    ``last .. 2**L - 1``.
+    Rows come in lexicographic order, each one read off its position.  The
+    rows that share their first p words are contiguous, and the last
+    ``counts[p, w]`` of them (``_rank_counts``) put w or above at p, so
+    each column is one search over a row of ``counts``; beside the result
+    the call holds a few arrays of one entry per row.
     """
     _family_size(n_rows, n_cols, max_matrices)
-    rows = np.zeros((1, 0), dtype=np.int64)
-    last = np.zeros(1, dtype=np.int64)
-    for _ in range(n_rows):
-        reps = (1 << n_cols) - last
-        starts = np.cumsum(reps) - reps
-        last = np.arange(reps.sum()) + np.repeat(last - starts, reps)
-        rows = np.column_stack((np.repeat(rows, reps, axis=0), last))
+    counts = _rank_counts(n_rows, n_cols)
+    total = counts[0, 0]
+    rows = np.empty((total, n_rows), dtype=np.int64)
+    # Minus the count of rows from each row to the last row sharing its
+    # first p words, itself included.
+    behind = np.arange(-total, 0)
+    for p in range(n_rows):
+        word = np.searchsorted(-counts[p], behind, side="right")
+        word -= 1
+        rows[:, p] = word
+        behind += counts[p, 1:][word]
     return rows
+
+
+def _ranks(counts: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Position in ``canonical_rows`` of each sorted row of ``words``.
+
+    A row ``w`` comes after the rows that share its first p words and put
+    a smaller word at p, ``counts[p, w[p-1]] - counts[p, w[p]]`` of them
+    (``w[-1]`` read as 0), summed over p.
+    """
+    rank = counts[0, 0] - counts[0, words[..., 0]]
+    for p in range(1, words.shape[-1]):
+        rank += counts[p, words[..., p - 1]] - counts[p, words[..., p]]
+    return rank
+
+
+def _xor_images(rows: np.ndarray, counts: np.ndarray,
+                mask: int) -> np.ndarray:
+    """Index of each source of ``rows`` XOR-ed with ``mask``."""
+    return _ranks(counts, np.sort(rows ^ mask, axis=1))
+
+
+def _orbit_firsts(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices of the sources that come first in their XOR orbit.
+
+    Every orbit has members whose first word is 0, the translates of any
+    member by its own words, and those rows are a prefix of ``rows``.  A
+    row of that prefix comes first when no mask maps it to an earlier row.
+    """
+    prefix = rows[:rows.shape[0] - counts[0, 1]]
+    own = np.arange(prefix.shape[0])
+    first = own
+    for mask in range(1, counts.shape[1] - 1):
+        first = np.minimum(first, _xor_images(prefix, counts, mask))
+    return np.flatnonzero(first == own)
 
 
 def enumerate_matrices(n_rows: int, n_cols: int,
@@ -131,7 +202,9 @@ class ClosestPairResult:
 
     ``zero_ci`` marks the degenerate finding that two distinct sources map
     to the same output distribution, i.e. the family is not identifiable.
-    ``pairs_solved`` counts the pairs sent to the Chernoff solver.
+    ``pairs_solved`` counts the distinct pairs sent to the Chernoff solver
+    over both phases of the scan: the pairs of orbit-first sources, and
+    either their images or the full scan that replaces them near zero.
     """
 
     pair: MatrixPair
@@ -142,60 +215,125 @@ class ClosestPairResult:
     pairs_solved: int
 
 
-def _min_pair(probs, row_blocks) -> tuple[tuple, int]:
+def _solve(probs, ii, jj, best) -> tuple[tuple, np.ndarray]:
+    """Fold the pairs ``(ii[k], jj[k])`` of sources into the key ``best``.
+
+    The pairs come in increasing ``(i, j)``, and row ``ii[k]`` of ``probs``
+    is the solver's ``p1``.  Returns the smallest key
+    ``(value, i, j, lambda_star)`` and the values of the pairs solved, a
+    prefix of the pairs: once the key has value 0 and comes before the next
+    pair, no later pair can beat it.  Logs are taken of the gathered rows
+    only; an elementwise log gives the same bits either way.
+    """
+    values = [np.empty(0)]
+    with np.errstate(divide="ignore"):  # -inf is the solver's zero support
+        for at in range(0, ii.size, _SOLVE_PAIRS):
+            if best[:3] < (0.0, ii[at], jj[at]):
+                break
+            i, j = ii[at:at + _SOLVE_PAIRS], jj[at:at + _SOLVE_PAIRS]
+            part, lams = chernoff_info_batch(np.log(probs[i]),
+                                             np.log(probs[j]))
+            k = np.lexsort((j, i, part))[0]
+            best = min(best, (float(part[k]), int(i[k]), int(j[k]),
+                              float(lams[k])))
+            values.append(part)
+    return best, np.concatenate(values)
+
+
+def _min_pair(probs, row_blocks) -> tuple[tuple, tuple]:
     """Smallest key ``(value, i, j, lambda_star)`` over the pairs of the tiles.
 
     ``row_blocks`` lists blocks of tiles in increasing i.  A tile
-    ``(r0, r1, c0, c1)`` holds the pairs of sources (rows of ``probs``) with
-    i in ``range(r0, r1)`` and j in ``range(c0, c1)``, only those with j > i
-    where ``r0 == c0``; row i is the solver's ``p1``.  Returns the key and
-    the number of pairs solved.
+    ``(rows, c0, c1)`` holds the pairs of sources (rows of ``probs``) with i
+    in ``rows``, a slice or an increasing index array, and j in
+    ``range(c0, c1)``.  A tile below the diagonal (``c1`` at most its first
+    i) keeps every pair; any other keeps only those with j > i.  Row i is
+    the solver's ``p1``.  Returns the key and the arrays ``(i, j, value)``
+    of every pair solved.
     """
     sqrt_probs = np.sqrt(probs)
-    with np.errstate(divide="ignore"):  # -inf is the solver's zero support
-        logs = np.log(probs)
+    positions = np.arange(probs.shape[0])
 
-    def coefficients(r0, r1, c0, c1):
-        bhatta = sqrt_probs[r0:r1] @ sqrt_probs[c0:c1].T
-        if r0 == c0:  # -1 lies below every coefficient and every threshold
-            bhatta[np.tri(r1 - r0, c1 - c0, dtype=bool)] = -1.0
+    def coefficients(rows, c0, c1):
+        bhatta = sqrt_probs[rows] @ sqrt_probs[c0:c1].T
+        i = positions[rows]
+        if c0 <= i[-1] and c1 > i[0]:
+            # -1 lies below every coefficient and every threshold
+            bhatta[np.arange(c0, c1) <= i[:, None]] = -1.0
         return bhatta
 
     def solve(tiles, tops, lo, hi, best):
         """Fold the pairs whose coefficient lies in [lo, hi) into ``best``."""
         found = [np.empty((2, 0), dtype=np.int64)]
-        for (r0, r1, c0, c1), top in zip(tiles, tops):
+        for (rows, c0, c1), top in zip(tiles, tops):
             if top >= lo:
-                bhatta = coefficients(r0, r1, c0, c1)
+                bhatta = coefficients(rows, c0, c1)
                 hits = np.argwhere((bhatta >= lo) & (bhatta < hi)).T
-                found.append(hits + [[r0], [c0]])
+                found.append(np.stack((positions[rows][hits[0]],
+                                       hits[1] + c0)))
         ii, jj = np.concatenate(found, axis=1)
-        for at in range(0, ii.size, _SOLVE_PAIRS):
-            i, j = ii[at:at + _SOLVE_PAIRS], jj[at:at + _SOLVE_PAIRS]
-            values, lams = chernoff_info_batch(logs[i], logs[j])
-            k = np.lexsort((j, i, values))[0]
-            best = min(best, (float(values[k]), int(i[k]), int(j[k]),
-                              float(lams[k])))
-        return best, ii.size
+        order = np.lexsort((jj, ii))
+        best, values = _solve(probs, ii[order], jj[order], best)
+        solved.append((ii[order[:values.size]], jj[order[:values.size]],
+                       values))
+        return best
 
     # A pair survives when -log BC <= incumbent + PRUNE_MARGIN, so every
     # pair of zero information has BC >= zero_cut.
     zero_cut = math.exp(-PRUNE_MARGIN)
-    best, solved, tiles, tops = (math.inf, math.inf, math.inf, 0.5), 0, [], []
+    best, solved, tiles, tops = (math.inf, math.inf, math.inf, 0.5), [], [], []
     for block in row_blocks:
         block_tops = [coefficients(*tile).max() for tile in block]
-        best, count = solve(block, block_tops, zero_cut, math.inf, best)
-        solved += count
+        best = solve(block, block_tops, zero_cut, math.inf, best)
         if best[0] == 0.0:  # no earlier block holds a zero
-            return best, solved
+            break
         tiles += block
         tops += block_tops
-    # Warm start on the pairs of largest coefficient, then solve the rest.
-    top = min(max(tops), zero_cut)
-    best, warm = solve(tiles, tops, top, zero_cut, best)
-    cut = math.exp(-(best[0] + PRUNE_MARGIN))
-    best, rest = solve(tiles, tops, cut, top, best)
-    return best, solved + warm + rest
+    else:
+        # Warm start on the pairs of largest coefficient, then solve the rest.
+        top = min(max(tops), zero_cut)
+        best = solve(tiles, tops, top, zero_cut, best)
+        best = solve(tiles, tops, math.exp(-(best[0] + PRUNE_MARGIN)), top,
+                     best)
+    return best, tuple(np.concatenate(part) for part in zip(*solved))
+
+
+def _upper_tiles(heads: np.ndarray, n: int, side: int) -> list:
+    """Row blocks of the pairs (i, j > i) with i in ``heads``, j below ``n``."""
+    return [[(block, c0, min(c0 + side, n))
+             for c0 in range(block[0], n, side)]
+            for block in np.array_split(heads, range(side, heads.size, side))]
+
+
+def _pair_images(rows, counts, ii, jj, firsts) -> np.ndarray:
+    """Codes ``i * M + j`` of the images (i < j) of the pairs ``(ii, jj)``.
+
+    An image XORs both sources of a pair with one mask.  Images whose i is
+    in ``firsts`` are left out: phase 1 covered them, solved or pruned as
+    unable to win.  The codes are distinct and increasing.
+    """
+    n = rows.shape[0]
+    scanned = np.zeros(n, dtype=bool)
+    scanned[firsts] = True
+    a, b = rows[ii], rows[jj]
+    images = [np.empty(0, dtype=np.int64)]
+    for mask in range(counts.shape[1] - 1):
+        ia, ib = _xor_images(a, counts, mask), _xor_images(b, counts, mask)
+        i, j = np.minimum(ia, ib), np.maximum(ia, ib)
+        images.append((i * n + j)[~scanned[i]])
+    return _distinct(np.concatenate(images))
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes``, increasing.
+
+    ``np.unique`` would do, but its first call imports ``numpy.ma``, which
+    costs a fresh process about 25 ms.
+    """
+    codes = np.sort(codes)
+    keep = np.ones(codes.size, dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
 
 
 def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
@@ -206,14 +344,29 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
     ``min_ci = 0`` rather than skipped.  Ties are broken by lexicographic
     pair order, making the result independent of the tile schedule; the
     scan runs on the calling thread.
+
+    Phase 1 scans the pairs ``(r, j > r)`` whose first source ``r`` comes
+    first in its XOR orbit.  Unless its minimum is within ``PRUNE_MARGIN``
+    of zero, phase 2 solves every image of the scanned pairs within
+    ``PRUNE_MARGIN`` of that minimum whose first source is not orbit-first
+    (the others were scanned), in enumeration coordinates.  Near zero the
+    full scan runs instead.  The module docstring says why this is exact.
     """
     rows, probs = family_table(n_rows, n_cols, profile, max_matrices)
     n = rows.shape[0]  # at least 2: N, L >= 1
     side = max(1, math.isqrt(_TILE_MADDS // probs.shape[1]))
-    row_blocks = [[(r0, min(r0 + side, n), c0, min(c0 + side, n))
-                   for c0 in range(r0, n, side)]
-                  for r0 in range(0, n - 1, side)]
-    best, solved = _min_pair(probs, row_blocks)
+    counts = _rank_counts(n_rows, n_cols)
+    firsts = _orbit_firsts(rows, counts)
+    best, (ii, jj, values) = _min_pair(probs, _upper_tiles(firsts, n, side))
+    if best[0] > PRUNE_MARGIN:
+        near = values <= best[0] + PRUNE_MARGIN
+        images = _pair_images(rows, counts, ii[near], jj[near], firsts)
+        best, _ = _solve(probs, images // n, images % n, best)
+        solved = ii.size + images.size
+    else:
+        best, (i2, j2, _) = _min_pair(probs, _upper_tiles(np.arange(n), n,
+                                                          side))
+        solved = _distinct(np.concatenate((ii * n + jj, i2 * n + j2))).size
     value, bi, bj, lam = best
     return ClosestPairResult(
         pair=MatrixPair(a=family_source(rows, bi, n_cols),
@@ -243,7 +396,7 @@ def exact_error_exponent(truth: BinaryMatrix, profile: FlipProfile,
     rows, probs = table
     n, t = rows.shape[0], family_index(table, truth)
     height = max(1, _TILE_MADDS // probs.shape[1])
-    strips = [[(r0, min(r0 + height, stop), t, t + 1)]
+    strips = [[(slice(r0, min(r0 + height, stop)), t, t + 1)]
               for start, stop in ((0, t), (t + 1, n))
               for r0 in range(start, stop, height)]
     (value, other, _, _), _ = _min_pair(probs, strips)

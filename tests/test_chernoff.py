@@ -164,6 +164,21 @@ class TestChernoffInfoBatch:
         assert values[0] == -math.log(0.75)
         assert lams[0] == 0.0
 
+    def test_rows_keep_their_bits_in_any_batch(self, rng):
+        # identical rows are settled without the search; the rows left to
+        # it must come out as they do alone
+        p1 = rng.dirichlet(np.ones(8), size=6)
+        p2 = rng.dirichlet(np.ones(8), size=6)
+        p2[[1, 4]] = p1[[1, 4]]
+        p2[2, :3] = 0.0
+        p2[2] /= p2[2].sum()
+        values, lams = chernoff_info_batch(_logs(p1), _logs(p2))
+        assert values[1] == values[4] == 0.0
+        for row in range(6):
+            alone = chernoff_info_batch(_logs(p1[row:row + 1]),
+                                        _logs(p2[row:row + 1]))
+            assert (values[row], lams[row]) == (alone[0][0], alone[1][0])
+
     @settings(max_examples=200, deadline=None)
     @given(_pairs_with_zeros())
     def test_agrees_with_scalar_on_zero_support(self, pair):

@@ -78,6 +78,17 @@ class TestCiCommand:
         assert str(8 << 30) in err
         assert peak < 64 * 2 ** 20
 
+    def test_outcome_budget_counts_every_vector(self, tmp_path, capsys):
+        # a 1 GiB vector over the 2**27 outcomes: the gather alone fits the
+        # budget, but the index, the kernel and the words beside it do not
+        a = write_matrix(tmp_path / "a.txt", [0], 27)
+        b = write_matrix(tmp_path / "b.txt", [1], 27)
+        (code, _, err), peak = traced_peak(lambda: run_cli(
+            capsys, "ci", "--a", a, "--b", b, "--flip", "0.1"))
+        assert code == 3
+        assert str(5 << 30) in err
+        assert peak < 64 * 2 ** 20
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         a = write_matrix(tmp_path / "a.txt", [0], 1)
         code, _, err = run_cli(capsys, "ci", "--a", a, "--b",

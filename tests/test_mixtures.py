@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from bmmci import (
     mixture_distribution,
     parse_matrix_text,
 )
+import bmmci.mixtures
 from bmmci.mixtures import channel_kernel, mixture_probs_table
 
 
@@ -121,6 +124,25 @@ class TestMixtureDistribution:
                 expected = gathered.sum(axis=1) / n_rows
                 assert np.array_equal(mixture_probs_table(rows, kernel),
                                       expected)
+
+    @pytest.mark.parametrize("rows", [(0,), (0, 5, 5, 9)])
+    def test_peak_within_charged_bytes(self, monkeypatch, rows):
+        # the index and the gather over the distinct rows live beside the
+        # kernel, the outcome words and the mixture, and all count
+        charged = []
+        check = bmmci.mixtures.check_budget
+        monkeypatch.setattr(bmmci.mixtures, "check_budget",
+                            lambda n, what: charged.append(n) or check(n, what))
+        source = canonicalize(rows, 18)
+        profile = FlipProfile.constant(0.1, 18)
+        tracemalloc.start()
+        try:
+            mixture_distribution(source, profile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(charged) == 1
+        assert peak <= charged[0]
 
     def test_rejects_unnormalized_vector(self):
         with pytest.raises(InvalidInputError):

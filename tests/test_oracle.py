@@ -37,7 +37,10 @@ def reference_closest_pair(n, l, profile):
     """Unpruned scan: every pair solved, lexicographic (value, i, j) minimum."""
     matrices, logs = _family_logs(n, l, profile)
     ii, jj = np.triu_indices(len(matrices), 1)
-    values, lams = chernoff_info_batch(logs[ii], logs[jj])
+    # rows are solved independently; cache-sized batches only run faster
+    values, lams = map(np.concatenate, zip(*(
+        chernoff_info_batch(logs[ii[at:at + 4096]], logs[jj[at:at + 4096]])
+        for at in range(0, ii.size, 4096))))
     order = np.lexsort((jj, ii, values))
     k = order[0]
     tied_rows = ii[order[values[order] == values[k]]]
@@ -55,6 +58,7 @@ def reference_exponent(truth, profile):
     return values[k], matrices[others[k]]
 
 
+# New cases go at the end, so the ids of the earlier ones keep their indices.
 EXACT_GRID = [
     (n, l, FlipProfile.constant(f, l))
     for n in range(1, 5) for l in range(1, 4) for f in (0.0, 0.1, 0.5, 1.0)
@@ -64,7 +68,23 @@ EXACT_GRID = [
     (2, 3, FlipProfile((1.0, 0.3, 0.1))),
     (3, 3, FlipProfile((0.5, 0.0, 0.3))),
     (4, 3, FlipProfile((0.0, 0.1, 1.0))),
+] + [
+    (n, l, FlipProfile.constant(f, l))
+    for n in range(1, 5) for l in range(1, 4) for f in (0.3, 0.45)
+] + [
+    (4, 2, FlipProfile((0.5, 1.0))),
+    (3, 3, FlipProfile((1.0, 0.5, 0.0))),
+    (4, 3, FlipProfile((0.45, 0.5, 1.0))),
+    (3, 3, FlipProfile((0.0, 0.3, 0.5))),
 ]
+
+
+def _orbit_firsts_by_sets(n, l):
+    """Smallest enumeration index in each XOR orbit, from Python tuples."""
+    rows = [tuple(r) for r in canonical_rows(n, l).tolist()]
+    index = {r: k for k, r in enumerate(rows)}
+    return sorted({min(index[tuple(sorted(w ^ a for w in r))]
+                       for a in range(1 << l)) for r in rows})
 
 
 class TestEnumeration:
@@ -98,6 +118,26 @@ class TestEnumeration:
                 expected = np.array(
                     list(combinations_with_replacement(range(2 ** l), n)))
                 assert np.array_equal(canonical_rows(n, l), expected)
+
+    def test_rank_is_position(self):
+        for n in range(1, 6):
+            for l in range(1, 5):
+                rows = canonical_rows(n, l)
+                counts = bmmci.oracle._rank_counts(n, l)
+                assert np.array_equal(bmmci.oracle._ranks(counts, rows),
+                                      np.arange(rows.shape[0]))
+
+    def test_rows_peak_is_linear(self):
+        # 1,001 rows of 1,000 words: the work arrays beside the 8 MB result
+        # hold one entry per row, not one per word
+        rows = canonical_rows(1000, 1)
+        tracemalloc.start()
+        try:
+            canonical_rows(1000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * rows.nbytes
 
     def test_cap_checked_before_allocation(self):
         # the 2**39 sources of 2 rows of 20 bits would fill 8 TiB
@@ -253,6 +293,65 @@ class TestExactness:
         monkeypatch.setattr(bmmci.oracle, "_TILE_MADDS", 4 * 2)
         res = closest_pair(5, 1, FlipProfile.constant(0.1, 1))
         assert (res.pair.a, res.pair.b) == (matrices[0], matrices[4])
+
+
+class TestOrbits:
+    """Phase 1 scans orbit-first sources; phase 2 re-solves their images."""
+
+    @pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 5)
+                                     for l in range(1, 4)])
+    def test_firsts_are_orbit_minima(self, n, l):
+        rows = canonical_rows(n, l)
+        firsts = bmmci.oracle._orbit_firsts(
+            rows, bmmci.oracle._rank_counts(n, l))
+        assert firsts.tolist() == _orbit_firsts_by_sets(n, l)
+
+    @pytest.mark.parametrize("n,l,firsts,total", [
+        (4, 4, 276, 3876), (3, 5, 187, 5984), (3, 6, 715, 45760),
+        (5, 5, 11781, 376992),
+    ])
+    def test_first_counts(self, n, l, firsts, total):
+        rows = canonical_rows(n, l)
+        counts = bmmci.oracle._rank_counts(n, l)
+        assert rows.shape[0] == total
+        assert bmmci.oracle._orbit_firsts(rows, counts).size == firsts
+
+    def test_cap_scale_answer_and_peak(self):
+        # the answer was recorded from the full scan over all 1,046,965,920
+        # pairs; the table is 45,760 x 64 x 8 bytes, and beside it the scan
+        # holds its square roots, not its logs
+        profile = FlipProfile.constant(0.3, 6)
+        table = 45760 * 64 * 8
+        peaks = []
+        for build in (lambda: family_table(3, 6, profile, 10 ** 6),
+                      lambda: closest_pair(3, 6, profile)):
+            tracemalloc.start()
+            try:
+                res = build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2.1 * table
+        assert peaks[1] < 2.25 * table
+        assert repr(res.min_ci) == "0.00592732726964762"
+        assert (res.pair.a.rows, res.pair.b.rows) == ((0, 0, 17), (0, 1, 16))
+        assert res.lambda_star == 0.4999165940584744
+        assert res.candidates_examined == 1046965920
+
+    @pytest.mark.parametrize("n,l,flips,a,b", [
+        (4, 4, (0.5,) * 4, (0, 0, 0, 0), (0, 0, 0, 1)),
+        (4, 4, (0.1, 0.5, 0.3, 0.2), (0, 0, 0, 0), (0, 0, 0, 2)),
+        (3, 5, (0.0, 1.0, 0.5, 0.3, 0.1), (0, 0, 0), (0, 0, 4)),
+    ])
+    def test_zero_fallback_first_pair(self, n, l, flips, a, b):
+        # recorded from the full scan; the fallback stops solving at the
+        # first solver call that settles a zero, not at the end of the
+        # 487,872 pairs of the first block of (4, 4) at f = 0.5
+        res = closest_pair(n, l, FlipProfile(flips))
+        assert (res.min_ci, res.pair.a.rows, res.pair.b.rows,
+                res.lambda_star) == (0.0, a, b, 0.5)
+        assert res.zero_ci
+        assert res.pairs_solved <= bmmci.oracle._SOLVE_PAIRS
 
 
 class TestExactErrorExponent:
