@@ -10,6 +10,7 @@ printed with 17 significant digits and infinities as the string "inf".
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -355,7 +356,13 @@ def _add_common_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves it unchanged (its defaults are immutable and ``prog`` is
+    fixed), so every ``main`` call can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="bmmci",
         description="Chernoff information tools for noisy binary sources",

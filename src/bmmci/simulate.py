@@ -18,14 +18,20 @@ Rivals are scored a tile at a time, in groups of consecutive rivals taken
 nearest group first, so that losing trials leave early; since a trial is an
 error exactly when some rival ties or beats the truth, the order cannot
 change the counts (rivals that fit in one tile keep enumeration order).
-The first tile is scored directly.  Past it, most trials are won by the
-truth, and a whole group is cleared at once by its envelope, the
-outcome-wise largest ratio over its members: counts are nonnegative, so
-``counts · envelope`` bounds every member's score from above, and a trial
-whose envelope score is below twice the group's largest tie threshold beats
-every member.  The margin covers the rounding of both products; a sentinel
-entry can only lower the envelope score, and every member's score with it.
-Only the trials some group leaves open are scored against the whole tile.
+Every product is rival-major, (rivals, trials), so "some rival reaches its
+threshold" ORs whole rows of trials together.  The first tile is scored
+directly.  Past it, most trials are won by the truth, and a whole group is
+cleared at once by its envelope, the outcome-wise largest ratio over its
+members: counts are nonnegative, so ``counts · envelope`` bounds every
+member's score from above, and a trial whose envelope score is below twice
+the group's largest tie threshold beats every member.  The margin covers
+the rounding of both products; a sentinel entry can only lower the envelope
+score, and every member's score with it.  The envelopes are scored a span
+of groups at a time, in one product; then each tile of the span scores only
+the trials that its groups leave open and that no earlier tile of the span
+settled.  A trial that no group of a span leaves open beats the whole span
+unscored.  Trials settled within a span leave at its end, and the block is
+compacted only when some trial left.
 """
 
 from __future__ import annotations
@@ -48,8 +54,9 @@ _Z95 = 1.959963984540054
 # substream, so runs are reproducible and blocks can be processed in any
 # order.
 _TRIAL_BLOCK = 4096
-# Rivals scored per matrix product: a full trial block against a tile is an
-# 8 MiB product, whatever the size of the family.
+# Rivals per tile, and groups per span: a full trial block against a tile
+# of rivals or a span of envelopes is an 8 MiB product, whatever the size
+# of the family.
 _RIVAL_TILE = 256
 # Consecutive rivals sharing one likelihood envelope.  On a 3x6 truth at
 # f = 0.2 and m = 10..40, envelopes of 8 clear 94-99% of the (correct
@@ -170,12 +177,6 @@ def _nearest_groups_first(nearness: np.ndarray) -> np.ndarray:
                              kind="stable")].ravel()
 
 
-def _ties_or_beats(counts: np.ndarray, ratios: np.ndarray,
-                   thresholds: np.ndarray) -> np.ndarray:
-    """Per trial, whether some row of ``ratios`` reaches its threshold."""
-    return (counts @ ratios.T >= thresholds).any(axis=1)
-
-
 def ml_decide(observations: Sequence[int], profile: FlipProfile,
               n_rows: int, n_cols: int, truth: BinaryMatrix,
               max_matrices: int = DEFAULT_MAX_MATRICES
@@ -216,6 +217,7 @@ def _error_counts(cfg: SimConfig,
                                       _nearest_groups_first)
         envelopes = ratios.reshape(-1, _GROUP, ratios.shape[1]).max(axis=1)
         envelope_slack = 2.0 * slack.reshape(-1, _GROUP).max(axis=1)
+    n_rivals = ratios.shape[0]
     n_blocks = (cfg.trials + _TRIAL_BLOCK - 1) // _TRIAL_BLOCK
     point_streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.m_values))
     per_m = []
@@ -227,22 +229,40 @@ def _error_counts(cfg: SimConfig,
             # with m == 0 every count is 0, so every rival ties: all errors
             counts = rng.multinomial(m, probs[truth_idx], size=n_here)
             counts = counts.astype(float)
-            lost = _ties_or_beats(counts, ratios[:_RIVAL_TILE],
-                                  -m * slack[:_RIVAL_TILE])
+            # rival-major scores: "some rival reaches its threshold" ORs
+            # whole rows of trials together
+            lost = np.logical_or.reduce(
+                ratios[:_RIVAL_TILE] @ counts.T
+                >= -m * slack[:_RIVAL_TILE, None], axis=0)
             errors += int(np.count_nonzero(lost))
-            counts = counts[~lost]
-            for start in range(_RIVAL_TILE, ratios.shape[0], _RIVAL_TILE):
-                if counts.shape[0] == 0:
-                    break
-                tile = slice(start, start + _RIVAL_TILE)
-                groups = slice(start // _GROUP, -(-tile.stop // _GROUP))
-                # only a trial that some envelope leaves open can lose here
-                lost = _ties_or_beats(counts, envelopes[groups],
-                                      -m * envelope_slack[groups])
-                lost[lost] = _ties_or_beats(counts[lost], ratios[tile],
-                                            -m * slack[tile])
+            start = _RIVAL_TILE
+            while start < n_rivals:
+                if lost.any():
+                    counts = counts[~lost]
+                    if counts.shape[0] == 0:
+                        break
+                first = start // _GROUP
+                groups = slice(first, first + _RIVAL_TILE)
+                stop = min(groups.stop * _GROUP, n_rivals)
+                # (group, trial): only a trial that a group's envelope
+                # leaves open can lose to that group's members
+                left_open = (envelopes[groups] @ counts.T
+                             >= -m * envelope_slack[groups, None])
+                lost = np.zeros(counts.shape[0], dtype=bool)
+                for tile_start in range(start, stop, _RIVAL_TILE):
+                    tile = slice(tile_start,
+                                 min(tile_start + _RIVAL_TILE, stop))
+                    # the span's rows for the groups this tile meets
+                    rows = slice(tile.start // _GROUP - first,
+                                 -(-tile.stop // _GROUP) - first)
+                    trials = np.flatnonzero(
+                        np.logical_or.reduce(left_open[rows], axis=0) & ~lost)
+                    if trials.size:
+                        lost[trials] = np.logical_or.reduce(
+                            ratios[tile] @ counts[trials].T
+                            >= -m * slack[tile, None], axis=0)
                 errors += int(np.count_nonzero(lost))
-                counts = counts[~lost]
+                start = stop
         per_m.append(errors)
     return per_m
 

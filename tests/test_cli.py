@@ -182,6 +182,27 @@ class TestClosestPairCommand:
         assert "--threads" in err
 
 
+class TestParserReuse:
+    def test_calls_in_one_process_match_calls_alone(self, tmp_path, capsys):
+        truth = write_matrix(tmp_path / "t.txt", [0, 1, 1], 1)
+        calls = [
+            ("closest-pair", "--n", "2", "--l", "2", "--flip", "0.3"),
+            ("verify", "--n", "2", "--l", "1", "--flip", "0.3",
+             "--threads", "0"),
+            ("simulate", "--truth", truth, "--flip", "0.1",
+             "--m-values", "5,10,15", "--trials", "500", "--seed", "3"),
+        ]
+        together = [run_cli(capsys, *argv) for argv in calls]
+        alone = []
+        for argv in calls:
+            done = subprocess.run([sys.executable, "-m", "bmmci", *argv],
+                                  capture_output=True, text=True)
+            alone.append((done.returncode, done.stdout, done.stderr))
+        assert together == alone
+        assert [code for code, _, _ in together] == [0, 2, 0]
+        assert bmmci.cli.build_parser() is bmmci.cli.build_parser()
+
+
 class TestGoldenScans:
     """The benchmark's scan calls, pinned to their recorded reports."""
 

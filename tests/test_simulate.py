@@ -15,6 +15,7 @@ from bmmci import (
     exact_error_exponent,
     fit_exponent,
     ml_decide,
+    parse_matrix_text,
     sample_observations,
     wilson_interval,
 )
@@ -86,6 +87,13 @@ REFERENCE_GRID = [
     (2, 4, FlipProfile((0.0, 0.02, 1.0, 0.2))),
     (3, 4, FlipProfile((1.0, 0.5, 0.0, 0.05))),
 ]
+
+
+# (_GROUP, _RIVAL_TILE) pairs.  A span is _RIVAL_TILE groups, so groups of
+# 1 and 3 end spans mid-family at every tile size; tiles of 1 and 7 cut
+# through groups of 3 and 8, and most families leave a short last span and
+# a short last tile.
+SPAN_SHAPES = [(group, tile) for group in (8, 1, 3) for tile in (1, 7, 256)]
 
 
 def exact_binary_error(ones: int, n_rows: int, f: Fraction, m: int) -> float:
@@ -252,9 +260,24 @@ class TestErrorCounts:
         args = (truth, profile, (0, 9, 25, 51), 5000, 3)
         reference = error_counts(*args)
         assert 0 < reference[-1] < reference[1] < 5000
-        for tile in (1, 7):
+        for group, tile in SPAN_SHAPES:
+            monkeypatch.setattr(simulate, "_GROUP", group)
             monkeypatch.setattr(simulate, "_RIVAL_TILE", tile)
-            assert error_counts(*args) == reference
+            assert error_counts(*args) == reference, (group, tile)
+
+    @pytest.mark.parametrize("truth_text,f,m_values,trials,expected", [
+        # the bench's exponent call: 45,759 rivals, most of them screened
+        ("000000\n101000\n100100\n", 0.2, (10, 20, 30, 40), 4096,
+         [3966, 3484, 2763, 2045]),
+        # the bench's tail call: 3 rivals in one tile, 98 blocks per m
+        ("0\n1\n1\n", 0.1, (20, 40, 60, 80, 100, 120), 400_000,
+         [98882, 30668, 11173, 4878, 2009, 848]),
+    ], ids=["exponent", "tail"])
+    def test_bench_counts_pinned(self, truth_text, f, m_values, trials,
+                                 expected):
+        truth = parse_matrix_text(truth_text)
+        profile = FlipProfile.constant(f, truth.n_cols)
+        assert error_counts(truth, profile, m_values, trials, 5) == expected
 
     def test_no_score_matrix_over_all_rivals(self):
         # 4096 trials against the 5,983 rivals at N=3, L=5 would be 196 MB
@@ -281,10 +304,11 @@ class TestErrorCounts:
             cfg = SimConfig(truth=family_source(rows, t, l), profile=profile,
                             m_values=(0, 3, 12, 40), trials=1000, seed=t)
             reference = reference_error_counts(cfg, table)
-            for tile in (1, 7, 256):
+            for group, tile in SPAN_SHAPES:
+                monkeypatch.setattr(simulate, "_GROUP", group)
                 monkeypatch.setattr(simulate, "_RIVAL_TILE", tile)
                 assert simulate._error_counts(cfg, table) == reference, (
-                    t, tile)
+                    t, group, tile)
 
     def test_peak_within_table_multiple(self):
         # the ratios are gathered once, beside the logs they come from,
