@@ -32,13 +32,26 @@ the trials that its groups leave open and that no earlier tile of the span
 settled.  A trial that no group of a span leaves open beats the whole span
 unscored.  Trials settled within a span leave at its end, and the block is
 compacted only when some trial left.
+
+Sampling is most of the work when the family is small.  Each block of
+trials has its own substream, spawned in order on the calling thread; one
+worker thread per CPU draws blocks ahead (``Generator.multinomial`` runs
+without the interpreter lock), at most one more block than there are
+workers, and the calling thread scores the blocks in order as they arrive.
+The errors are summed per m, so the counts are the same on any number of
+CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,9 +63,10 @@ from .oracle import (DEFAULT_MAX_MATRICES, family_index, family_source,
 from .oracle import enumerate_matrices  # noqa: F401  looked up by bench/spans.py
 
 _Z95 = 1.959963984540054
-# Trials are generated in fixed-size blocks, each on its own spawned
-# substream, so runs are reproducible and blocks can be processed in any
-# order.
+# Trials are generated in fixed-size blocks, each on its own substream,
+# spawned in (m, block) order on the calling thread; the blocks are drawn on
+# the process's CPUs and scored in order on the calling thread, so the
+# counts depend on neither the schedule nor the number of CPUs.
 _TRIAL_BLOCK = 4096
 # Rivals per tile, and groups per span: a full trial block against a tile
 # of rivals or a span of envelopes is an 8 MiB product, whatever the size
@@ -203,6 +217,104 @@ def ml_decide(observations: Sequence[int], profile: FlipProfile,
     return family_source(rows, chosen, n_cols), correct
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on: one sampling worker each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _draw(seed: np.random.SeedSequence, m: int, p_truth: np.ndarray,
+          n: int) -> np.ndarray:
+    """Outcome counts of n trials of m observations each, one row a trial."""
+    return np.random.default_rng(seed).multinomial(m, p_truth, size=n)
+
+
+def _drawn_blocks(p_truth: np.ndarray,
+                  jobs: Iterable[tuple[np.random.SeedSequence, int, int]]
+                  ) -> Iterator[tuple[int, np.ndarray]]:
+    """Each job's ``(m, block)`` in job order, drawn on one thread per CPU.
+
+    A job ``(seed, m, n)`` is the block ``_draw(seed, m, p_truth, n)``, and
+    jobs are taken from ``jobs`` on the calling thread.  The first block
+    asked for starts the workers; a draw's exception is raised in its job's
+    turn, and a block that no worker has started by its turn is drawn on
+    the calling thread.  At most one job more than there are workers is
+    handed out ahead of the block last yielded, each holding one block: the
+    int64 draw, which the caller casts.  Finishing or closing the generator
+    stops the workers, skipping the jobs none has started, and joins them.
+    """
+    state = threading.Condition()
+    todo = deque()  # (turn, job) handed out, not yet taken by a worker
+    drawn = {}  # turn -> its block, or the exception its draw raised
+    stopped = False
+
+    def work() -> None:
+        while True:
+            with state:
+                state.wait_for(lambda: todo or stopped)
+                if stopped:
+                    return
+                turn, (seed, m, n) = todo.popleft()
+            try:
+                block = _draw(seed, m, p_truth, n)
+            except BaseException as exc:  # re-raised on the calling thread
+                block = exc
+            with state:
+                drawn[turn] = block
+                state.notify_all()
+            del block  # held until the next draw, it would outlive its turn
+
+    n_workers = _cpu_count()
+    numbered = enumerate(jobs)
+    ahead = deque()  # (turn, m) of each job handed out, not yet yielded
+
+    def hand_out() -> None:
+        for turn, job in islice(numbered, n_workers + 1 - len(ahead)):
+            ahead.append((turn, job[1]))
+            with state:
+                todo.append((turn, job))
+                state.notify()
+
+    def take() -> tuple[int, np.ndarray]:
+        turn, m = ahead.popleft()
+        hand_out()
+        with state:
+            if todo and todo[0][0] == turn:
+                # no worker has started it: drawing it here beats waking one
+                _, (seed, _, n) = todo.popleft()
+                block = None
+            else:
+                state.wait_for(lambda: turn in drawn)
+                block = drawn.pop(turn)
+        if block is None:
+            block = _draw(seed, m, p_truth, n)
+        if isinstance(block, BaseException):
+            raise block
+        return m, block
+
+    workers = []
+    try:
+        for _ in range(n_workers):
+            # a daemon: a generator never closed must not block exit
+            worker = threading.Thread(target=work, daemon=True)
+            worker.start()
+            workers.append(worker)
+        hand_out()
+        while ahead:
+            # yielding take()'s result keeps no reference to the block
+            # here, so a block the caller casts or compacts is freed as it
+            # drops it
+            yield take()
+    finally:
+        with state:
+            stopped = True
+            state.notify_all()
+        for worker in workers:
+            worker.join()
+
+
 def _error_counts(cfg: SimConfig,
                   table: tuple[np.ndarray, np.ndarray]) -> list[int]:
     """Errors among ``cfg.trials`` simulated trials, one count per m."""
@@ -220,21 +332,21 @@ def _error_counts(cfg: SimConfig,
     n_rivals = ratios.shape[0]
     n_blocks = (cfg.trials + _TRIAL_BLOCK - 1) // _TRIAL_BLOCK
     point_streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.m_values))
-    per_m = []
-    for m, point_stream in zip(cfg.m_values, point_streams):
-        errors = 0
-        for block in range(n_blocks):
-            n_here = min(_TRIAL_BLOCK, cfg.trials - block * _TRIAL_BLOCK)
-            rng = np.random.default_rng(point_stream.spawn(1)[0])
+    jobs = ((point_stream.spawn(1)[0], m,
+             min(_TRIAL_BLOCK, cfg.trials - block * _TRIAL_BLOCK))
+            for m, point_stream in zip(cfg.m_values, point_streams)
+            for block in range(n_blocks))
+    per_m = dict.fromkeys(cfg.m_values, 0)
+    with closing(_drawn_blocks(probs[truth_idx], jobs)) as blocks:
+        for m, counts in blocks:
             # with m == 0 every count is 0, so every rival ties: all errors
-            counts = rng.multinomial(m, probs[truth_idx], size=n_here)
             counts = counts.astype(float)
             # rival-major scores: "some rival reaches its threshold" ORs
             # whole rows of trials together
             lost = np.logical_or.reduce(
                 ratios[:_RIVAL_TILE] @ counts.T
                 >= -m * slack[:_RIVAL_TILE, None], axis=0)
-            errors += int(np.count_nonzero(lost))
+            per_m[m] += int(np.count_nonzero(lost))
             start = _RIVAL_TILE
             while start < n_rivals:
                 if lost.any():
@@ -261,10 +373,9 @@ def _error_counts(cfg: SimConfig,
                         lost[trials] = np.logical_or.reduce(
                             ratios[tile] @ counts[trials].T
                             >= -m * slack[tile, None], axis=0)
-                errors += int(np.count_nonzero(lost))
+                per_m[m] += int(np.count_nonzero(lost))
                 start = stop
-        per_m.append(errors)
-    return per_m
+    return list(per_m.values())
 
 
 def fit_exponent(points: Sequence[tuple[int, float, int]]

@@ -1,5 +1,9 @@
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
+from contextlib import closing
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +98,9 @@ REFERENCE_GRID = [
 # through groups of 3 and 8, and most families leave a short last span and
 # a short last tile.
 SPAN_SHAPES = [(group, tile) for group in (8, 1, 3) for tile in (1, 7, 256)]
+
+# Sampling worker counts: one, two, and more than a small CI runner's CPUs.
+WORKER_COUNTS = (1, 2, 7)
 
 
 def exact_binary_error(ones: int, n_rows: int, f: Fraction, m: int) -> float:
@@ -279,6 +286,46 @@ class TestErrorCounts:
         profile = FlipProfile.constant(f, truth.n_cols)
         assert error_counts(truth, profile, m_values, trials, 5) == expected
 
+    @pytest.mark.parametrize("truth_text,f,m_values,trials", [
+        ("000000\n101000\n100100\n", 0.2, (10, 20, 30, 40), 4096),
+        ("0\n1\n1\n", 0.1, (20, 40, 60, 80, 100, 120), 400_000),
+    ], ids=["exponent", "tail"])
+    def test_worker_count_does_not_change_bench_counts(
+            self, monkeypatch, truth_text, f, m_values, trials):
+        # blocks of 300 give 14 and 1,334 blocks per m, the last one short
+        monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 300)
+        truth = parse_matrix_text(truth_text)
+        profile = FlipProfile.constant(f, truth.n_cols)
+        table = family_table(truth.n_rows, truth.n_cols, profile,
+                             DEFAULT_MAX_MATRICES)
+        cfg = SimConfig(truth=truth, profile=profile, m_values=m_values,
+                        trials=trials, seed=5)
+        reference = reference_error_counts(cfg, table)
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+            assert simulate._error_counts(cfg, table) == reference, workers
+
+    def test_peak_within_blocks_ahead_of_serial_peak(self, monkeypatch):
+        # 1,024 outcomes, so a block of 4,096 trials is 32 MiB; with two
+        # workers, at most three blocks are drawn ahead of the one scored
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        truth = canonicalize([5], 10)
+        profile = FlipProfile.constant(0.05, 10)
+        table = family_table(1, 10, profile, DEFAULT_MAX_MATRICES)
+        cfg = SimConfig(truth=truth, profile=profile, m_values=(10, 40, 160),
+                        trials=4096, seed=0)
+        block = 4096 * 1024 * 8
+        # measured with each block drawn and scored in turn on the calling
+        # thread: an int64 draw beside its float copy, and the 8 MiB ratios
+        serial_peak = 76_956_577
+        tracemalloc.start()
+        try:
+            simulate._error_counts(cfg, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= serial_peak + 3 * block
+
     def test_no_score_matrix_over_all_rivals(self):
         # 4096 trials against the 5,983 rivals at N=3, L=5 would be 196 MB
         truth = canonicalize([0, 5, 12], 5)
@@ -304,11 +351,14 @@ class TestErrorCounts:
             cfg = SimConfig(truth=family_source(rows, t, l), profile=profile,
                             m_values=(0, 3, 12, 40), trials=1000, seed=t)
             reference = reference_error_counts(cfg, table)
-            for group, tile in SPAN_SHAPES:
+            # each worker count meets three span shapes
+            for (group, tile), workers in zip(
+                    SPAN_SHAPES, itertools.cycle(WORKER_COUNTS)):
                 monkeypatch.setattr(simulate, "_GROUP", group)
                 monkeypatch.setattr(simulate, "_RIVAL_TILE", tile)
+                monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
                 assert simulate._error_counts(cfg, table) == reference, (
-                    t, group, tile)
+                    t, group, tile, workers)
 
     def test_peak_within_table_multiple(self):
         # the ratios are gathered once, beside the logs they come from,
@@ -334,6 +384,106 @@ class TestErrorCounts:
                              DEFAULT_MAX_MATRICES)
         with pytest.raises(InvalidInputError):
             simulate._error_counts(cfg, table)
+
+
+def draw_jobs(count, taken=None):
+    """Jobs ``(seed, m, 5)`` with m = 0, 1, ...; ``taken`` records each."""
+    for m, seed in enumerate(np.random.SeedSequence(3).spawn(count)):
+        if taken is not None:
+            taken.append(m)
+        yield seed, m, 5
+
+
+class TestDrawnBlocks:
+    P = np.array([0.3, 0.7])
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_in_order_with_bounded_lookahead(self, monkeypatch, workers):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+        seeds = np.random.SeedSequence(3).spawn(60)
+        taken, seen, failures = [], [], []
+
+        def consume():
+            try:
+                with closing(simulate._drawn_blocks(
+                        self.P, draw_jobs(60, taken))) as blocks:
+                    for m, block in blocks:
+                        # the block yielded and at most workers + 1 ahead
+                        assert len(taken) <= m + workers + 2
+                        assert np.array_equal(block, np.random.default_rng(
+                            seeds[m]).multinomial(m, self.P, size=5))
+                        seen.append(m)
+            except BaseException as exc:
+                failures.append(exc)
+
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumer = threading.Thread(target=consume)
+            consumer.start()
+            consumer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not consumer.is_alive()
+        assert failures == []
+        assert seen == list(range(60))
+        assert threading.active_count() == before
+
+    def test_leaving_early_skips_unstarted_jobs(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        draw = simulate._draw
+        started = []
+
+        def counted(seed, m, p, n):
+            started.append(m)
+            return draw(seed, m, p, n)
+
+        monkeypatch.setattr(simulate, "_draw", counted)
+        before = threading.active_count()
+        with closing(simulate._drawn_blocks(self.P,
+                                            draw_jobs(100))) as blocks:
+            assert next(blocks)[0] == 0
+        assert threading.active_count() == before
+        assert len(started) <= 4
+
+    def test_workers_joined_after_return(self):
+        before = threading.active_count()
+        error_counts(TRUTH, PROFILE, (5, 10), 10_000, 1)
+        assert threading.active_count() == before
+
+    def test_draw_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 300)
+        draw = simulate._draw
+
+        def failing(seed, m, p, n):
+            if seed.spawn_key == (0, 2):  # the first m's third block
+                raise RuntimeError("draw failed")
+            return draw(seed, m, p, n)
+
+        monkeypatch.setattr(simulate, "_draw", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed") as failure:
+            error_counts(TRUTH, PROFILE, (5, 10), 3000, 1)
+        # while the caller holds the traceback, and the frames with it
+        assert threading.active_count() == before, failure
+
+    def test_scoring_error_stops_workers(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 300)
+        draw = simulate._draw
+
+        def widened(seed, m, p, n):
+            counts = draw(seed, m, p, n)
+            if seed.spawn_key == (0, 2):  # one outcome too many to score
+                counts = np.hstack([counts, counts[:, :1]])
+            return counts
+
+        monkeypatch.setattr(simulate, "_draw", widened)
+        before = threading.active_count()
+        with pytest.raises(ValueError) as failure:
+            error_counts(TRUTH, PROFILE, (5, 10), 3000, 1)
+        # while the caller holds the traceback, and the frames with it
+        assert threading.active_count() == before, failure
 
 
 class TestEstimateExponent:
