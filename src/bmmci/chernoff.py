@@ -101,19 +101,19 @@ def chernoff_info_batch(logp1: np.ndarray, logp2: np.ndarray
     d = a + _INVPHI * (b - a)
     fc = log_f(c)
     fd = log_f(d)
+    # the new probe's offset into [a, b], indexed by "the bracket shrinks
+    # from the right": the old c becomes d, or the old d becomes c
+    coef = np.array([_INVPHI, _INVPHI2])
     for _ in range(STEPS):
         shrink_right = fc < fd
-        b = np.where(shrink_right, d, b)
         a = np.where(shrink_right, a, c)
-        c_old, fc_old = c, fc
-        d_old, fd_old = d, fd
-        h = b - a
-        c = np.where(shrink_right, a + _INVPHI2 * h, d_old)
-        d = np.where(shrink_right, c_old, a + _INVPHI * h)
-        probe = np.where(shrink_right, c, d)
+        b = np.where(shrink_right, d, b)
+        probe = a + coef[shrink_right.view(np.int8)] * (b - a)
+        c, d = (np.where(shrink_right, probe, d),
+                np.where(shrink_right, c, probe))
         f_new = log_f(probe)
-        fc = np.where(shrink_right, f_new, fd_old)
-        fd = np.where(shrink_right, fc_old, f_new)
+        fc, fd = (np.where(shrink_right, f_new, fd),
+                  np.where(shrink_right, fc, f_new))
 
     lam = 0.5 * (a + b)
     log_f_min = log_f(lam)

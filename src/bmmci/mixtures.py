@@ -183,7 +183,7 @@ def channel_kernel(profile: FlipProfile) -> np.ndarray:
     """
     kernel = np.ones(1)
     for f in profile.flips:
-        kernel = np.kron(np.array([1.0 - f, f]), kernel)
+        kernel = np.multiply.outer(np.array([1.0 - f, f]), kernel).ravel()
     return kernel
 
 

@@ -34,20 +34,21 @@ unscored.  Trials settled within a span leave at its end, and the block is
 compacted only when some trial left.
 
 Sampling is most of the work when the family is small.  Each block of
-trials has its own substream, spawned in order on the calling thread; one
-worker thread per CPU draws blocks ahead (``Generator.multinomial`` runs
-without the interpreter lock), at most one more block than there are
-workers, and the calling thread scores the blocks in order as they arrive.
-The errors are summed per m, so the counts are the same on any number of
-CPUs.
+trials has its own substream, spawned in order on the calling thread, and
+is drawn on a thread pool (``Generator.multinomial`` runs without the
+interpreter lock), at most one more block ahead than there are workers.
+Workers start as blocks are submitted, at most one per CPU, and no block is
+drawn on the calling thread, which scores the blocks in order as they
+arrive.  The errors are summed per m, so the counts are the same on any
+number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
@@ -64,9 +65,10 @@ from .oracle import enumerate_matrices  # noqa: F401  looked up by bench/spans.p
 
 _Z95 = 1.959963984540054
 # Trials are generated in fixed-size blocks, each on its own substream,
-# spawned in (m, block) order on the calling thread; the blocks are drawn on
-# the process's CPUs and scored in order on the calling thread, so the
-# counts depend on neither the schedule nor the number of CPUs.
+# spawned in (m, block) order on the calling thread; the blocks are drawn by
+# pool workers, started as blocks are submitted and at most one per CPU, and
+# scored in order on the calling thread, so the counts depend on neither the
+# schedule nor the number of CPUs.
 _TRIAL_BLOCK = 4096
 # Rivals per tile, and groups per span: a full trial block against a tile
 # of rivals or a span of envelopes is an 8 MiB product, whatever the size
@@ -234,85 +236,43 @@ def _draw(seed: np.random.SeedSequence, m: int, p_truth: np.ndarray,
 def _drawn_blocks(p_truth: np.ndarray,
                   jobs: Iterable[tuple[np.random.SeedSequence, int, int]]
                   ) -> Iterator[tuple[int, np.ndarray]]:
-    """Each job's ``(m, block)`` in job order, drawn on one thread per CPU.
+    """Each job's ``(m, block)`` in job order, drawn on a thread pool.
 
     A job ``(seed, m, n)`` is the block ``_draw(seed, m, p_truth, n)``, and
-    jobs are taken from ``jobs`` on the calling thread.  The first block
-    asked for starts the workers; a draw's exception is raised in its job's
-    turn, and a block that no worker has started by its turn is drawn on
-    the calling thread.  At most one job more than there are workers is
-    handed out ahead of the block last yielded, each holding one block: the
-    int64 draw, which the caller casts.  Finishing or closing the generator
-    stops the workers, skipping the jobs none has started, and joins them.
+    jobs are taken from ``jobs`` on the calling thread, which draws none of
+    them.  The pool has one worker per CPU, and a worker starts only when a
+    job is submitted while none is idle, so k jobs start at most
+    min(k, CPUs) workers.  A draw's exception is raised in its job's turn.
+    At most one job more than there are workers is submitted ahead of the
+    block last yielded, each holding one block: the int64 draw, which the
+    caller casts.  Finishing or closing the generator cancels the jobs no
+    worker has started and joins the workers.  The workers are not
+    daemons: were the generator never closed, the interpreter's exit would
+    join them after at most ``workers + 1`` pending draws.
     """
-    state = threading.Condition()
-    todo = deque()  # (turn, job) handed out, not yet taken by a worker
-    drawn = {}  # turn -> its block, or the exception its draw raised
-    stopped = False
-
-    def work() -> None:
-        while True:
-            with state:
-                state.wait_for(lambda: todo or stopped)
-                if stopped:
-                    return
-                turn, (seed, m, n) = todo.popleft()
-            try:
-                block = _draw(seed, m, p_truth, n)
-            except BaseException as exc:  # re-raised on the calling thread
-                block = exc
-            with state:
-                drawn[turn] = block
-                state.notify_all()
-            del block  # held until the next draw, it would outlive its turn
-
     n_workers = _cpu_count()
-    numbered = enumerate(jobs)
-    ahead = deque()  # (turn, m) of each job handed out, not yet yielded
+    pool = ThreadPoolExecutor(n_workers)
+    jobs = iter(jobs)
+    ahead = deque()  # (m, future) of each job submitted, not yet yielded
 
-    def hand_out() -> None:
-        for turn, job in islice(numbered, n_workers + 1 - len(ahead)):
-            ahead.append((turn, job[1]))
-            with state:
-                todo.append((turn, job))
-                state.notify()
+    def top_up() -> None:
+        for seed, m, n in islice(jobs, n_workers + 1 - len(ahead)):
+            ahead.append((m, pool.submit(_draw, seed, m, p_truth, n)))
 
     def take() -> tuple[int, np.ndarray]:
-        turn, m = ahead.popleft()
-        hand_out()
-        with state:
-            if todo and todo[0][0] == turn:
-                # no worker has started it: drawing it here beats waking one
-                _, (seed, _, n) = todo.popleft()
-                block = None
-            else:
-                state.wait_for(lambda: turn in drawn)
-                block = drawn.pop(turn)
-        if block is None:
-            block = _draw(seed, m, p_truth, n)
-        if isinstance(block, BaseException):
-            raise block
-        return m, block
+        m, future = ahead.popleft()
+        top_up()
+        return m, future.result()
 
-    workers = []
     try:
-        for _ in range(n_workers):
-            # a daemon: a generator never closed must not block exit
-            worker = threading.Thread(target=work, daemon=True)
-            worker.start()
-            workers.append(worker)
-        hand_out()
+        top_up()
         while ahead:
             # yielding take()'s result keeps no reference to the block
             # here, so a block the caller casts or compacts is freed as it
             # drops it
             yield take()
     finally:
-        with state:
-            stopped = True
-            state.notify_all()
-        for worker in workers:
-            worker.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def _error_counts(cfg: SimConfig,

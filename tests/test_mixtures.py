@@ -111,6 +111,20 @@ class TestMixtureDistribution:
         assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
         assert d.probs.min() >= 0.0
 
+    def test_kernel_matches_kron_chain(self):
+        # each outcome's probability is the same product, in the same
+        # order, as a chain of Kronecker products gives
+        rng = np.random.default_rng(11)
+        for n_cols in range(1, 12):
+            for _ in range(20):
+                flips = rng.random(n_cols)
+                flips[rng.random(n_cols) < 0.3] = 0.0
+                expected = np.ones(1)
+                for f in flips:
+                    expected = np.kron(np.array([1.0 - f, f]), expected)
+                assert np.array_equal(
+                    channel_kernel(FlipProfile(tuple(flips))), expected)
+
     def test_table_matches_gathered_sum(self):
         # the table adds one row at a time; gathering every (source, row,
         # outcome) term and summing over rows must give the same bits

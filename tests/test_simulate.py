@@ -447,6 +447,14 @@ class TestDrawnBlocks:
         assert threading.active_count() == before
         assert len(started) <= 4
 
+    def test_workers_start_only_for_submitted_jobs(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 7)
+        before = threading.active_count()
+        with closing(simulate._drawn_blocks(self.P, draw_jobs(1))) as blocks:
+            assert next(blocks)[0] == 0
+            assert threading.active_count() <= before + 1
+        assert threading.active_count() == before
+
     def test_workers_joined_after_return(self):
         before = threading.active_count()
         error_counts(TRUTH, PROFILE, (5, 10), 10_000, 1)
