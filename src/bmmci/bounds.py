@@ -12,19 +12,23 @@ noisier than 1/4.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .chernoff import bernoulli_ci, chernoff_info, two_point_ci
+from .chernoff import bernoulli_ci, two_point_ci
 from .exceptions import InvalidInputError, UnsupportedRegimeError
-from .mixtures import (BinaryMatrix, FlipProfile, check_profile, check_shape,
-                       check_unit, mixture_distribution)
-from .reductions import MatrixPair, epsilon_gap
+from .mixtures import (FlipProfile, check_budget, check_cols, check_profile,
+                       check_shape, check_unit)
+from .reductions import MatrixPair, epsilon_gap, pair_ci, parity_words
 
 REGIME_LOW_NOISE_ODD = "low_noise_odd"
 REGIME_LOW_NOISE_EVEN = "low_noise_even"
 REGIME_HIGH_NOISE = "high_noise"
 REGIME_GENERALIZED = "generalized"
+# Bytes a builder traces per row of its pair: 40 for the Hamming-one and
+# even-N pairs, 64 for the parity split, which also builds its reduced pair.
+_ROW_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,22 @@ class ExtremalPair:
     upper_bound: float
 
 
+def _check_shape(n_rows: int, n_cols: int) -> None:
+    """``check_shape``, and refuse an N that no float holds: every closed
+    form divides by N."""
+    check_shape(n_rows, n_cols)
+    if n_rows > sys.float_info.max:
+        raise InvalidInputError(
+            f"N of {n_rows.bit_length()} bits does not fit in a float")
+
+
+def _check_pair(n_rows: int, n_cols: int) -> None:
+    """Refuse a pair too wide for a source or too tall for the budget,
+    before any row is built."""
+    check_cols(n_cols)
+    check_budget(n_rows * _ROW_BYTES, f"a pair of {n_rows} rows")
+
+
 def _eta(flip: float, n_rows: int) -> float:
     """Low-noise Bernoulli gap (1 - 2f) / N."""
     return (1.0 - 2.0 * flip) / n_rows
@@ -120,7 +140,7 @@ def worst_case_ci_bounds(n_rows: int, n_cols: int, flip: float) -> BoundReport:
     it the bounds are exact precisely when the decomposition remainder
     vanishes.
     """
-    check_shape(n_rows, n_cols)
+    _check_shape(n_rows, n_cols)
     check_unit(flip, "flip probability")
     folded = flip > 0.5
     if folded:
@@ -173,7 +193,7 @@ def worst_case_ci_bounds_profile(n_rows: int, n_cols: int,
     With no such column the formulas are undefined and the call fails
     explicitly rather than guessing a regime.
     """
-    check_shape(n_rows, n_cols)
+    _check_shape(n_rows, n_cols)
     check_profile(profile, n_cols)
     folded = any(f > 0.5 for f in profile.flips)
     flips = [min(f, 1.0 - f) for f in profile.flips]
@@ -183,7 +203,7 @@ def worst_case_ci_bounds_profile(n_rows: int, n_cols: int,
             "no column has flip rate above 1/4; the generalized bounds are "
             "undefined in this regime"
         )
-    cal = min(gamma, n_rows.bit_length())
+    cal = active_width(n_rows, gamma)
     largest = sorted(flips, reverse=True)[:cal]
     product = 1.0
     for f in largest:
@@ -200,18 +220,16 @@ CONSTRUCTION_NEAR_OPTIMAL = "near_optimal_noisy"
 def build_hamming_one_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPair:
     """Low-noise extremal pair for odd N: two words at Hamming distance one
     with multiplicities n and n+1, swapped between the sides."""
-    check_shape(n_rows, n_cols)
+    _check_shape(n_rows, n_cols)
     if n_rows % 2 == 0:
         raise InvalidInputError(f"odd row count required, got {n_rows}")
+    _check_pair(n_rows, n_cols)
     n = (n_rows - 1) // 2
     v1, v2 = 0, 1
     rows_a = (v1,) * n + (v2,) * (n + 1)
     rows_b = (v1,) * (n + 1) + (v2,) * n
-    pair = MatrixPair(
-        a=BinaryMatrix(rows_a, n_cols),
-        b=BinaryMatrix(rows_b, n_cols),
-        profile=FlipProfile.constant(flip, n_cols),
-    )
+    pair = MatrixPair.from_rows(rows_a, rows_b,
+                                FlipProfile.constant(flip, n_cols))
     value = two_point_ci(_eta(flip, n_rows))
     return ExtremalPair(pair=pair, predicted_ci=value,
                         construction=CONSTRUCTION_HAMMING_ONE,
@@ -224,27 +242,20 @@ def build_even_n_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPair:
     Its value reduces exactly to the Bernoulli pair (1/2, 1/2 + eta_N); the
     stored upper bound is the weaker closed form it certifies.
     """
-    check_shape(n_rows, n_cols)
+    _check_shape(n_rows, n_cols)
     if n_rows % 2 == 1 or n_rows < 2:
         raise InvalidInputError(f"even row count >= 2 required, got {n_rows}")
+    _check_pair(n_rows, n_cols)
     n = n_rows // 2
     v1, v2 = 0, 1
     rows_a = (v1,) * (n - 1) + (v2,) * (n + 1)
     rows_b = (v1,) * n + (v2,) * n
-    pair = MatrixPair(
-        a=BinaryMatrix(rows_a, n_cols),
-        b=BinaryMatrix(rows_b, n_cols),
-        profile=FlipProfile.constant(flip, n_cols),
-    )
+    pair = MatrixPair.from_rows(rows_a, rows_b,
+                                FlipProfile.constant(flip, n_cols))
     value = bernoulli_ci(0.5, 0.5 + _eta(flip, n_rows))
     return ExtremalPair(pair=pair, predicted_ci=value,
                         construction=CONSTRUCTION_EVEN_ALMOST,
                         upper_bound=_even_n_upper(n_rows, flip))
-
-
-def parity_words(width: int, parity: int) -> tuple[int, ...]:
-    """All ``width``-bit words whose popcount has the given parity."""
-    return tuple(w for w in range(1 << width) if (w.bit_count() & 1) == parity)
 
 
 def build_parity_split_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPair:
@@ -255,7 +266,8 @@ def build_parity_split_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPa
     is padded with R copies of the zero word on both sides.  When R = 0 the
     value meets the high-noise lower bound exactly.
     """
-    check_shape(n_rows, n_cols)
+    _check_shape(n_rows, n_cols)
+    _check_pair(n_rows, n_cols)
     cal = active_width(n_rows, n_cols)
     k, r = decompose(n_rows, cal)
     n = (k - 1) // 2
@@ -264,11 +276,8 @@ def build_parity_split_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPa
     odds = tuple(w << shift for w in parity_words(cal, 1))
     rows_a = evens * (n + 1) + odds * n + (0,) * r
     rows_b = evens * n + odds * (n + 1) + (0,) * r
-    pair = MatrixPair(
-        a=BinaryMatrix(rows_a, n_cols),
-        b=BinaryMatrix(rows_b, n_cols),
-        profile=FlipProfile.constant(flip, n_cols),
-    )
+    pair = MatrixPair.from_rows(rows_a, rows_b,
+                                FlipProfile.constant(flip, n_cols))
     epsilon = epsilon_gap(flip, cal, n_rows)
     upper = _high_noise_upper(n_rows, r, epsilon)
     if r == 0:
@@ -283,13 +292,9 @@ def build_parity_split_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPa
 def _reduced_pair_ci(rows_a, rows_b, cal, shift, flip) -> float:
     # The zero columns are identical and constant, so dropping them keeps
     # the value exact while the outcome space shrinks to 2**cal.
-    small_a = BinaryMatrix(tuple(r >> shift for r in rows_a), cal)
-    small_b = BinaryMatrix(tuple(r >> shift for r in rows_b), cal)
-    prof = FlipProfile.constant(flip, cal)
-    return chernoff_info(
-        mixture_distribution(small_a, prof),
-        mixture_distribution(small_b, prof),
-    ).value
+    return pair_ci(MatrixPair.from_rows((r >> shift for r in rows_a),
+                                        (r >> shift for r in rows_b),
+                                        FlipProfile.constant(flip, cal)))
 
 
 def phase_sweep(n_rows: int, n_cols: int,
@@ -299,7 +304,7 @@ def phase_sweep(n_rows: int, n_cols: int,
     Emits (f, low-noise bound, high-noise bound) per grid point; the two
     values coincide exactly at f = 1/4, where both gaps equal 1/(2N).
     """
-    check_shape(n_rows, n_cols)
+    _check_shape(n_rows, n_cols)
     cal = active_width(n_rows, n_cols)
     out = []
     for f in f_grid:

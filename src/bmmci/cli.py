@@ -28,6 +28,7 @@ from .exceptions import (
 from .mixtures import (
     BinaryMatrix,
     FlipProfile,
+    check_budget,
     format_matrix_text,
     mixture_distribution,
     parse_matrix_text,
@@ -42,6 +43,15 @@ from .simulate import SimConfig, estimate_exponent
 
 SCHEMA_VERSION = 1
 _THREADS_HELP = "checked to be >= 1; results never depended on it"
+# Bytes traced per unit of a size argument, rounded up, charged to the
+# budget before the objects they count are built: a sweep step in each
+# format (up to 400 and 761 traced), a column of a --flip profile (a tuple
+# and its checked copy, 17.2) and of the bounds report (98), and a row of a
+# constructed pair's text (59, plus 3 per column).
+_STEP_BYTES = {"csv": 420, "json": 800}
+_PROFILE_COLUMN_BYTES = 18
+_REPORT_COLUMN_BYTES = 100
+_TEXT_ROW_BYTES = 60
 
 _CONSTRUCTION_BUILDERS = {
     "hamming-one": bounds_mod.build_hamming_one_pair,
@@ -123,6 +133,8 @@ def _parse_profile(args, n_cols: int) -> FlipProfile:
         return FlipProfile(entries)
     if args.flip is None:
         raise CliUsageError("one of --flip or --flips is required")
+    check_budget(n_cols * _PROFILE_COLUMN_BYTES,
+                 f"a --flip profile of {n_cols} columns")
     return FlipProfile.constant(args.flip, n_cols)
 
 
@@ -179,7 +191,7 @@ def _bound_report_dict(report) -> dict:
 
 
 def _compute_bounds(args, profile: FlipProfile):
-    if profile.is_constant and args.flips is None:
+    if args.flips is None:
         return bounds_mod.worst_case_ci_bounds(args.n, args.l, profile.flips[0])
     return bounds_mod.worst_case_ci_bounds_profile(args.n, args.l, profile)
 
@@ -187,6 +199,8 @@ def _compute_bounds(args, profile: FlipProfile):
 def _cmd_bounds(args) -> int:
     profile = _parse_profile(args, args.l)
     report = _compute_bounds(args, profile)
+    check_budget(args.l * _REPORT_COLUMN_BYTES,
+                 f"a report of {args.l} profile columns")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "bounds",
@@ -224,6 +238,8 @@ def _cmd_closest_pair(args) -> int:
 def _cmd_construct(args) -> int:
     builder = _CONSTRUCTION_BUILDERS[args.kind]
     extremal = builder(args.n, args.l, args.flip)
+    check_budget(args.n * (_TEXT_ROW_BYTES + 3 * args.l),
+                 f"the text of a pair of {args.n} rows")
     Path(args.out_a).write_text(format_matrix_text(extremal.pair.a))
     Path(args.out_b).write_text(format_matrix_text(extremal.pair.b))
     report = {
@@ -246,6 +262,8 @@ def _cmd_construct(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.steps < 1:
         raise CliUsageError(f"--steps must be >= 1, got {args.steps}")
+    check_budget((args.steps + 1) * _STEP_BYTES[args.format],
+                 f"a sweep of {args.steps} steps")
     span = args.f_max - args.f_min
     grid = [args.f_min + span * i / args.steps for i in range(args.steps + 1)]
     rows = bounds_mod.phase_sweep(args.n, args.l, grid)

@@ -9,6 +9,7 @@ source into a dense probability vector over all ``2**n_cols`` outcome words.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,6 +33,13 @@ def check_shape(n_rows: int, n_cols: int) -> None:
         raise InvalidInputError(f"need N >= 1 and L >= 1, got {n_rows}, {n_cols}")
 
 
+def check_cols(n_cols: int) -> None:
+    """Refuse a column count outside [1, MAX_COLS]."""
+    if not 1 <= n_cols <= MAX_COLS:
+        raise InvalidInputError(
+            f"n_cols must be in [1, {MAX_COLS}], got {n_cols}")
+
+
 def check_unit(value: float, name: str) -> None:
     """Refuse a ``value`` outside [0, 1], NaN included, reported as ``name``."""
     if not 0.0 <= value <= 1.0:
@@ -49,7 +57,17 @@ def check_budget(n_bytes: int, what: str) -> None:
     """Refuse, with ``ResourceLimitError``, an array over ``_BUDGET_BYTES``."""
     if n_bytes > _BUDGET_BYTES:
         raise ResourceLimitError(
-            f"{what} needs {n_bytes} bytes, over the budget of {_BUDGET_BYTES}")
+            f"{what} needs {decimal_text(n_bytes)} bytes, over the budget of "
+            f"{_BUDGET_BYTES}")
+
+
+def decimal_text(n: int) -> str:
+    """``str(n)``, or a lower bound on ``n`` past the digits Python converts
+    (``sys.get_int_max_str_digits``)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 10**{sys.get_int_max_str_digits()}"
 
 
 def drop_bit(word: int, col: int) -> int:
@@ -71,10 +89,7 @@ class BinaryMatrix:
     n_cols: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_cols <= MAX_COLS:
-            raise InvalidInputError(
-                f"n_cols must be in [1, {MAX_COLS}], got {self.n_cols}"
-            )
+        check_cols(self.n_cols)
         rows = tuple(sorted(self.rows))
         for word in rows:
             if word < 0 or word >> self.n_cols:

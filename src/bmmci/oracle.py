@@ -41,8 +41,9 @@ from .chernoff import chernoff_info  # noqa: F401  looked up by bench/spans.py
 from .chernoff import chernoff_info_batch
 from .exceptions import InvalidInputError, ResourceLimitError
 from .mixtures import (BinaryMatrix, FlipProfile, channel_kernel, check_budget,
-                       check_profile, check_shape, mixture_probs_table)
-from .reductions import MatrixPair
+                       check_profile, check_shape, decimal_text,
+                       mixture_probs_table)
+from .reductions import MatrixPair, parity_words
 
 DEFAULT_MAX_MATRICES = 10 ** 6
 # Pairs whose cheap bound sits within this margin of the incumbent are
@@ -68,8 +69,8 @@ def _family_size(n_rows: int, n_cols: int, max_matrices: int) -> int:
     total = count_matrices(n_rows, n_cols)
     if total > max_matrices:
         raise ResourceLimitError(
-            f"{total} matrices for N={n_rows}, L={n_cols} exceeds the cap "
-            f"of {max_matrices}"
+            f"{decimal_text(total)} matrices for N={n_rows}, L={n_cols} "
+            f"exceeds the cap of {max_matrices}"
         )
     return total
 
@@ -126,8 +127,9 @@ def _ranks(counts: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 def _xor_images(rows: np.ndarray, counts: np.ndarray,
-                mask: int) -> np.ndarray:
-    """Index of each source of ``rows`` XOR-ed with ``mask``."""
+                mask: int | np.ndarray) -> np.ndarray:
+    """Index of each source of ``rows`` XOR-ed with ``mask``, one mask or
+    a column of one mask per source."""
     return _ranks(counts, np.sort(rows ^ mask, axis=1))
 
 
@@ -135,14 +137,18 @@ def _orbit_firsts(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Indices of the sources that come first in their XOR orbit.
 
     Every orbit has members whose first word is 0, the translates of any
-    member by its own words, and those rows are a prefix of ``rows``.  A
-    row of that prefix comes first when no mask maps it to an earlier row.
+    member by its own words, and those rows are a prefix of ``rows``.  The
+    first member of an orbit is among them, so it is the translate of every
+    member by one of that member's own words.  A row of the prefix comes
+    first when no translate by its words 1..N-1 comes earlier (word 0
+    leaves it as it is): N - 1 masks per row, not all 2**L - 1.
     """
     prefix = rows[:rows.shape[0] - counts[0, 1]]
     own = np.arange(prefix.shape[0])
     first = own
-    for mask in range(1, counts.shape[1] - 1):
-        first = np.minimum(first, _xor_images(prefix, counts, mask))
+    for p in range(1, prefix.shape[1]):
+        first = np.minimum(first, _xor_images(prefix, counts,
+                                              prefix[:, p, None]))
     return np.flatnonzero(first == own)
 
 
@@ -430,24 +436,18 @@ def random_pair_stream(n_rows: int, n_cols: int, count: int, seed: int,
             mult = int(rng.integers(1, max_mult + 1))
             padding = tuple(int(w) for w in
                             rng.integers(0, 1 << n_cols, n_rows - mult * half))
-            evens = tuple(w for w in range(1 << n_cols)
-                          if w.bit_count() % 2 == 0) * mult
-            odds = tuple(w for w in range(1 << n_cols)
-                         if w.bit_count() % 2 == 1) * mult
+            evens = parity_words(n_cols, 0) * mult
+            odds = parity_words(n_cols, 1) * mult
             if rng.integers(0, 2):
                 evens, odds = odds, evens
-            return MatrixPair(
-                a=BinaryMatrix(evens + padding, n_cols),
-                b=BinaryMatrix(odds + padding, n_cols),
-                profile=profile,
-            )
+            return MatrixPair.from_rows(evens + padding, odds + padding,
+                                        profile)
         while True:
-            rows_a = tuple(int(w) for w in rng.integers(0, 1 << n_cols, n_rows))
-            rows_b = tuple(int(w) for w in rng.integers(0, 1 << n_cols, n_rows))
-            a = BinaryMatrix(rows_a, n_cols)
-            b = BinaryMatrix(rows_b, n_cols)
-            if a != b:
-                return MatrixPair(a=a, b=b, profile=profile)
+            pair = MatrixPair.from_rows(
+                rng.integers(0, 1 << n_cols, n_rows).tolist(),
+                rng.integers(0, 1 << n_cols, n_rows).tolist(), profile)
+            if pair.a != pair.b:
+                return pair
 
     for _ in range(count):
         yield emit()

@@ -47,6 +47,14 @@ class MatrixPair:
             )
         check_profile(self.profile, self.a.n_cols)
 
+    @classmethod
+    def from_rows(cls, rows_a, rows_b, profile: FlipProfile) -> "MatrixPair":
+        """The pair of sources with these rows and one column per entry
+        of ``profile``."""
+        n_cols = len(profile)
+        return cls(a=BinaryMatrix(tuple(rows_a), n_cols),
+                   b=BinaryMatrix(tuple(rows_b), n_cols), profile=profile)
+
     @property
     def n_cols(self) -> int:
         return self.a.n_cols
@@ -114,6 +122,11 @@ def matches_parity_split_form(pair: MatrixPair) -> bool:
     return _is_parity_split(delta, pair.n_cols)
 
 
+def parity_words(width: int, parity: int) -> tuple[int, ...]:
+    """All ``width``-bit words whose popcount has the given parity."""
+    return tuple(w for w in range(1 << width) if (w.bit_count() & 1) == parity)
+
+
 def _is_parity_split(delta: DeltaResult, n_cols: int) -> bool:
     da = delta.delta_a.multiplicities()
     db = delta.delta_b.multiplicities()
@@ -167,13 +180,9 @@ def merge_columns(pair: MatrixPair, i: int, j: int) -> MatrixPair:
     new_flips = list(pair.profile.flips)
     new_flips[i] = merged_flip(fi, fj)
     del new_flips[j]
-    return MatrixPair(
-        a=BinaryMatrix(tuple(_merge_row(r, i, j) for r in pair.a.rows),
-                       pair.n_cols - 1),
-        b=BinaryMatrix(tuple(_merge_row(r, i, j) for r in pair.b.rows),
-                       pair.n_cols - 1),
-        profile=FlipProfile(tuple(new_flips)),
-    )
+    return MatrixPair.from_rows((_merge_row(r, i, j) for r in pair.a.rows),
+                                (_merge_row(r, i, j) for r in pair.b.rows),
+                                FlipProfile(tuple(new_flips)))
 
 
 def regularity_degree(pair: MatrixPair) -> int:

@@ -37,10 +37,11 @@ Sampling is most of the work when the family is small.  Each block of
 trials has its own substream, spawned in order on the calling thread, and
 is drawn on a thread pool (``Generator.multinomial`` runs without the
 interpreter lock), at most one more block ahead than there are workers.
-Workers start as blocks are submitted, at most one per CPU, and no block is
-drawn on the calling thread, which scores the blocks in order as they
-arrive.  The errors are summed per m, so the counts are the same on any
-number of CPUs.
+Workers start as blocks are submitted, at most one per CPU and no more
+than let one block more than there are workers fit in the memory budget.
+No block is drawn on the calling thread, which scores the blocks in order
+as they arrive.  The errors are summed per m, so the counts are the same on
+any number of CPUs.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .exceptions import EstimationError, InvalidInputError
+from . import mixtures
 from .mixtures import BinaryMatrix, FlipProfile, check_profile, check_shape
 from .mixtures import mixture_probs_table  # noqa: F401  looked up by bench/spans.py
 from .oracle import (DEFAULT_MAX_MATRICES, family_index, family_source,
@@ -113,6 +115,12 @@ class SimConfig:
             raise InvalidInputError("m_values must be strictly increasing")
         if not m_values:
             raise InvalidInputError("m_values must be non-empty")
+        if m_values[-1] > np.iinfo(np.int64).max:
+            raise InvalidInputError(
+                f"sample counts must fit in int64, at most "
+                f"{np.iinfo(np.int64).max}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "m_values", m_values)
 
 
@@ -240,17 +248,21 @@ def _drawn_blocks(p_truth: np.ndarray,
 
     A job ``(seed, m, n)`` is the block ``_draw(seed, m, p_truth, n)``, and
     jobs are taken from ``jobs`` on the calling thread, which draws none of
-    them.  The pool has one worker per CPU, and a worker starts only when a
-    job is submitted while none is idle, so k jobs start at most
-    min(k, CPUs) workers.  A draw's exception is raised in its job's turn.
-    At most one job more than there are workers is submitted ahead of the
-    block last yielded, each holding one block: the int64 draw, which the
-    caller casts.  Finishing or closing the generator cancels the jobs no
-    worker has started and joins the workers.  The workers are not
-    daemons: were the generator never closed, the interpreter's exit would
-    join them after at most ``workers + 1`` pending draws.
+    them.  The pool has one worker per CPU, but no more than let
+    ``workers + 1`` full blocks (``8 * _TRIAL_BLOCK * 2**L`` bytes each)
+    fit in the budget of ``check_budget``, and at least one.  A worker
+    starts only when a job is submitted while none is idle, so k jobs start
+    at most min(k, workers) of them.  A draw's exception is raised in its
+    job's turn.  At most one job more than there are workers is submitted
+    ahead of the block last yielded, each holding one block: the int64
+    draw, which the caller casts.  Finishing or closing the generator
+    cancels the jobs no worker has started and joins the workers.  The
+    workers are not daemons: were the generator never closed, the
+    interpreter's exit would join them after at most ``workers + 1``
+    pending draws.
     """
-    n_workers = _cpu_count()
+    n_workers = max(1, min(_cpu_count(), mixtures._BUDGET_BYTES
+                           // (8 * _TRIAL_BLOCK * p_truth.size) - 1))
     pool = ThreadPoolExecutor(n_workers)
     jobs = iter(jobs)
     ahead = deque()  # (m, future) of each job submitted, not yet yielded

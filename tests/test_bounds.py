@@ -270,3 +270,24 @@ class TestPhaseSweep:
         assert active_width(2, 2) == 2
         assert active_width(8, 2) == 2
         assert active_width(8, 6) == 4
+
+
+class TestEntryLimits:
+    @pytest.mark.parametrize("call", [
+        lambda n: worst_case_ci_bounds(n, 3, 0.3),
+        lambda n: worst_case_ci_bounds_profile(n, 2, FlipProfile((0.3, 0.4))),
+        lambda n: phase_sweep(n, 3, [0.1]),
+        lambda n: build_hamming_one_pair(n, 3, 0.1),
+        lambda n: build_parity_split_pair(n, 3, 0.3),
+    ], ids=["bounds", "profile", "sweep", "hamming", "parity"])
+    def test_rows_beyond_a_float(self, call):
+        with pytest.raises(InvalidInputError, match="float"):
+            call(10 ** 400 + 1)
+
+    @pytest.mark.parametrize("build,n", [
+        (build_hamming_one_pair, 3), (build_even_n_pair, 4),
+        (build_parity_split_pair, 4)])
+    def test_columns_refused_before_any_row(self, build, n):
+        # 10**90 columns: neither the rows nor the profile are built
+        with pytest.raises(InvalidInputError, match="n_cols"):
+            build(n, 10 ** 90, 0.3)

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import bmmci.bounds
 import bmmci.cli
 import bmmci.oracle
 from bmmci import FlipProfile, canonicalize, closest_pair, format_matrix_text
@@ -378,3 +379,138 @@ class TestSimulateCommand:
         second = subprocess.run(argv, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.strip()
+
+
+BIG = "1" + "0" * 400  # 10**400: an int that no float holds
+
+
+class TestIntegerLimits:
+    """Integers the library cannot hold exit with their typed error."""
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--m-values", "5,10,15", "--seed", "-1"), "seed must be >= 0"),
+        (("--m-values", ",".join(str(k * 10 ** 30) for k in (1, 2, 3)),
+          "--seed", "1"), "int64"),
+    ])
+    def test_simulate(self, tmp_path, capsys, flags, message):
+        truth = write_matrix(tmp_path / "t.txt", [0, 1, 1], 1)
+        code, _, err = run_cli(capsys, "simulate", "--truth", truth,
+                               "--flip", "0.1", "--trials", "100", *flags)
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize("command,code", [
+        ("bounds", 2), ("verify", 2), ("sweep", 2),
+        # the enumeration cap refuses it first, as before
+        ("closest-pair", 3),
+    ])
+    def test_rows_beyond_a_float(self, capsys, command, code):
+        flags = ("--steps", "2") if command == "sweep" else ("--flip", "0.3")
+        got, _, err = run_cli(capsys, command, "--n", BIG, "--l", "3", *flags)
+        assert got == code
+        if code == 2:
+            assert "does not fit in a float" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("closest-pair", "--n", "3", "--l", "15000", "--flip", "0.1"),
+        ("sweep", "--n", "3", "--l", "3", "--steps", "1" + "0" * 4299),
+    ], ids=["family", "steps"])
+    def test_counts_past_the_printable_digits(self, tmp_path, monkeypatch,
+                                              capsys, argv):
+        # counts of about 13,500 and 4,303 digits: more than Python
+        # converts to str
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err.startswith("resource limit: ")
+
+    def test_largest_float_rows_still_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--n", "1" + "0" * 307,
+                               "--l", "3", "--flip", "0.3")
+        assert code == 0
+        assert json.loads(out)["regime"] == "high_noise"
+
+
+class TestSizeArguments:
+    """Size arguments are charged to the budget before what they count is
+    built: by the sweep, the pair builders, a --flip profile, the bounds
+    report and the construct text."""
+
+    PROFILE_COLUMN_BYTES = bmmci.cli._PROFILE_COLUMN_BYTES
+    PAIR_FILES = ("--out-a", "a.txt", "--out-b", "b.txt")
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("argv,max_peak", [
+        (("sweep", "--n", "3", "--l", "3", "--steps", "100000000"),
+         64 * 2 ** 20),
+        (("sweep", "--n", "3", "--l", "3", "--steps", "100000000",
+          "--format", "json"), 64 * 2 ** 20),
+        (("construct", "--kind", "hamming-one", "--n", "100000001", "--l",
+          "3", "--flip", "0.1") + PAIR_FILES, 64 * 2 ** 20),
+        (("construct", "--kind", "near-optimal", "--n", "1" + "0" * 30,
+          "--l", "3", "--flip", "0.1") + PAIR_FILES, 64 * 2 ** 20),
+        (("bounds", "--n", "3", "--l", "1" + "0" * 90, "--flip", "0.1"),
+         64 * 2 ** 20),
+        (("closest-pair", "--n", "3", "--l", "1" + "0" * 90, "--flip",
+          "0.1"), 64 * 2 ** 20),
+        # the profile is built, at its charge, and the report is refused
+        (("bounds", "--n", "3", "--l", "11000000", "--flip", "0.1"),
+         11000000 * PROFILE_COLUMN_BYTES + 2 ** 20),
+    ])
+    def test_over_budget_exits_three(self, tmp_path, capsys, argv, max_peak):
+        (code, _, err), peak = traced_peak(lambda: run_cli(capsys, *argv))
+        assert code == 3
+        assert "budget" in err
+        assert peak < max_peak
+        assert not (tmp_path / "a.txt").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (("construct", "--kind", "hamming-one", "--n", "100000000", "--l",
+          "3", "--flip", "0.1") + PAIR_FILES, "odd row count"),
+        (("construct", "--kind", "even-almost", "--n", "100000000", "--l",
+          "31", "--flip", "0.1") + PAIR_FILES, "n_cols"),
+        (("bounds", "--n", "0", "--l", "11000000", "--flip", "0.1"),
+         "need N >= 1"),
+    ])
+    def test_cheaper_errors_come_first(self, capsys, argv, message):
+        # each failed with exit 2 before it built anything its size counts
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert message in err
+
+    def test_long_profile_within_budget(self, capsys):
+        (code, out, _), peak = traced_peak(lambda: run_cli(
+            capsys, "bounds", "--n", "3", "--l", "100000", "--flip", "0.1"))
+        assert code == 0
+        assert len(json.loads(out)["profile"]) == 100000
+        assert peak < 100000 * (self.PROFILE_COLUMN_BYTES
+                                + bmmci.cli._REPORT_COLUMN_BYTES)
+
+    @pytest.mark.parametrize("rate,flag,argv", [
+        (bmmci.cli._STEP_BYTES["csv"], "--steps",
+         ("sweep", "--n", "3", "--l", "3", "--format", "csv")),
+        (bmmci.cli._STEP_BYTES["json"], "--steps",
+         ("sweep", "--n", "3", "--l", "3", "--format", "json")),
+        (bmmci.bounds._ROW_BYTES + bmmci.cli._TEXT_ROW_BYTES + 3 * 3, "--n",
+         ("construct", "--kind", "near-optimal", "--l", "3", "--flip", "0.3")
+         + PAIR_FILES),
+        (bmmci.bounds._ROW_BYTES + bmmci.cli._TEXT_ROW_BYTES + 3 * 30, "--n",
+         ("construct", "--kind", "hamming-one", "--l", "30", "--flip", "0.3")
+         + PAIR_FILES),
+        (PROFILE_COLUMN_BYTES + bmmci.cli._REPORT_COLUMN_BYTES, "--l",
+         ("bounds", "--n", "3", "--flip", "0.1")),
+    ], ids=["csv", "json", "construct", "construct-30", "bounds"])
+    def test_charge_covers_traced_growth(self, capsys, rate, flag, argv):
+        # what a call traces beyond a call half its size stays within the
+        # charges for the difference; the report goes to a file, not to a
+        # capture buffer
+        peaks = []
+        for size in (10001, 20001):
+            (code, _, _), peak = traced_peak(lambda: run_cli(
+                capsys, *argv, flag, str(size), "--out", "report"))
+            assert code == 0
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 10000 * rate

@@ -306,6 +306,15 @@ class TestOrbits:
             rows, bmmci.oracle._rank_counts(n, l))
         assert firsts.tolist() == _orbit_firsts_by_sets(n, l)
 
+    @pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 6)
+                                     for l in range(1, 5) if n == 5 or l == 4])
+    def test_firsts_are_orbit_minima_to_five_rows(self, n, l):
+        # the own-word translates find the same firsts as all 2**L masks
+        rows = canonical_rows(n, l)
+        firsts = bmmci.oracle._orbit_firsts(
+            rows, bmmci.oracle._rank_counts(n, l))
+        assert firsts.tolist() == _orbit_firsts_by_sets(n, l)
+
     @pytest.mark.parametrize("n,l,firsts,total", [
         (4, 4, 276, 3876), (3, 5, 187, 5984), (3, 6, 715, 45760),
         (5, 5, 11781, 376992),

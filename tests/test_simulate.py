@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from bmmci import (
     sample_observations,
     wilson_interval,
 )
+import bmmci.mixtures
 from bmmci import simulate
 from bmmci.oracle import DEFAULT_MAX_MATRICES, family_source, family_table
 
@@ -455,6 +457,52 @@ class TestDrawnBlocks:
             assert threading.active_count() <= before + 1
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("budget_blocks,workers", [
+        (4, 3), (5.5, 4), (2, 1), (1, 1), (0, 1)])
+    def test_blocks_ahead_fit_the_budget(self, monkeypatch, budget_blocks,
+                                         workers):
+        # on 64 CPUs, workers + 1 blocks of 8 * _TRIAL_BLOCK * 2 bytes fit
+        # in the budget, and at least one worker draws
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 64)
+        monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 5)
+        monkeypatch.setattr(bmmci.mixtures, "_BUDGET_BYTES",
+                            int(budget_blocks * 8 * 5 * 2))
+        pools = []
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
+        seeds = np.random.SeedSequence(3).spawn(30)
+        before = threading.active_count()
+        taken = []
+        with closing(simulate._drawn_blocks(
+                self.P, draw_jobs(30, taken))) as blocks:
+            for m, block in blocks:
+                assert threading.active_count() <= before + workers
+                assert len(taken) <= m + workers + 2
+                assert np.array_equal(block, np.random.default_rng(
+                    seeds[m]).multinomial(m, self.P, size=5))
+        assert pools == [workers]
+        assert threading.active_count() == before
+
+    def test_blocks_ahead_at_the_largest_table(self, monkeypatch):
+        # at L = 13 a full block is 256 MiB, so the 1 GiB budget holds the
+        # blocks of 3 workers, however many CPUs there are
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 64)
+        pools = []
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
+        p = np.full(1 << 13, 2.0 ** -13)
+        with closing(simulate._drawn_blocks(p, draw_jobs(2))) as blocks:
+            assert [m for m, _ in blocks] == [0, 1]
+        assert pools == [3]
+
     def test_workers_joined_after_return(self):
         before = threading.active_count()
         error_counts(TRUTH, PROFILE, (5, 10), 10_000, 1)
@@ -544,3 +592,13 @@ class TestEstimateExponent:
         with pytest.raises(InvalidInputError):
             SimConfig(truth=TRUTH, profile=FlipProfile.constant(0.1, 2),
                       m_values=(10,), trials=10, seed=0)
+
+
+@pytest.mark.parametrize("m_values,seed,message", [
+    ((10, 20), -1, "seed"),
+    ((10, 2 ** 63), 0, "int64"),
+])
+def test_config_refuses_what_numpy_cannot_take(m_values, seed, message):
+    with pytest.raises(InvalidInputError, match=message):
+        SimConfig(truth=TRUTH, profile=PROFILE, m_values=m_values,
+                  trials=10, seed=seed)
