@@ -26,8 +26,8 @@ REGIME_LOW_NOISE_ODD = "low_noise_odd"
 REGIME_LOW_NOISE_EVEN = "low_noise_even"
 REGIME_HIGH_NOISE = "high_noise"
 REGIME_GENERALIZED = "generalized"
-# Bytes a builder traces per row of its pair: 40 for the Hamming-one and
-# even-N pairs, 64 for the parity split, which also builds its reduced pair.
+# Bytes a builder traces per row of its pair: 40, charged at 64 so that no
+# refusal point moves (ROADMAP.md keeps charging each traced rate open).
 _ROW_BYTES = 64
 
 
@@ -101,14 +101,6 @@ def _eta(flip: float, n_rows: int) -> float:
     return (1.0 - 2.0 * flip) / n_rows
 
 
-def _even_n_upper(n_rows: int, flip: float) -> float:
-    """Closed-form upper bound certified by the even-N pair (low noise)."""
-    eta_prev = _eta(flip, n_rows - 1)
-    inner = (1.0 / n_rows
-             + (n_rows - 1) / n_rows * math.sqrt(max(0.0, 1.0 - eta_prev ** 2)))
-    return -math.log(inner) if inner > 0.0 else math.inf
-
-
 def active_width(n_rows: int, n_cols: int) -> int:
     """min(L, floor(log2 N) + 1): columns the worst-case pair can exploit."""
     return min(n_cols, n_rows.bit_length())
@@ -160,29 +152,18 @@ def worst_case_ci_bounds(n_rows: int, n_cols: int, flip: float) -> BoundReport:
         return BoundReport(lower=lower, upper=lower,
                            regime=REGIME_LOW_NOISE_ODD, tight=True,
                            decomposition=deco, f_folded=folded)
-    return BoundReport(lower=lower, upper=_even_n_upper(n_rows, flip),
+    return BoundReport(lower=lower, upper=two_point_ci(eta, 1, n_rows),
                        regime=REGIME_LOW_NOISE_EVEN, tight=False,
                        decomposition=deco, f_folded=folded)
-
-
-def _high_noise_upper(n_rows: int, r: int, epsilon: float) -> float:
-    body = ((n_rows - r) / n_rows) ** 2 - epsilon ** 2
-    inner = math.sqrt(max(0.0, body)) + r / n_rows
-    if inner <= 0.0:
-        return math.inf
-    return -math.log(inner)
 
 
 def _high_noise_report(n_rows: int, cal: int, epsilon: float, regime: str,
                        folded: bool) -> BoundReport:
     """The two-point bounds of gap ``epsilon`` on ``cal`` active columns."""
     k, r = decompose(n_rows, cal)
-    lower = two_point_ci(epsilon)
-    # With no remainder the two formulas coincide; reuse the lower value so
-    # a tight report is exactly self-consistent.
-    upper = lower if r == 0 else _high_noise_upper(n_rows, r, epsilon)
     deco = Decomposition(cal=cal, k=k, r=r, epsilon=epsilon, eta=None)
-    return BoundReport(lower=lower, upper=upper, regime=regime,
+    return BoundReport(lower=two_point_ci(epsilon),
+                       upper=two_point_ci(epsilon, r, n_rows), regime=regime,
                        tight=(r == 0), decomposition=deco, f_folded=folded)
 
 
@@ -252,10 +233,10 @@ def build_even_n_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPair:
     rows_b = (v1,) * n + (v2,) * n
     pair = MatrixPair.from_rows(rows_a, rows_b,
                                 FlipProfile.constant(flip, n_cols))
-    value = bernoulli_ci(0.5, 0.5 + _eta(flip, n_rows))
-    return ExtremalPair(pair=pair, predicted_ci=value,
+    eta = _eta(flip, n_rows)
+    return ExtremalPair(pair=pair, predicted_ci=bernoulli_ci(0.5, 0.5 + eta),
                         construction=CONSTRUCTION_EVEN_ALMOST,
-                        upper_bound=_even_n_upper(n_rows, flip))
+                        upper_bound=two_point_ci(eta, 1, n_rows))
 
 
 def build_parity_split_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPair:
@@ -270,31 +251,31 @@ def build_parity_split_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPa
     _check_pair(n_rows, n_cols)
     cal = active_width(n_rows, n_cols)
     k, r = decompose(n_rows, cal)
-    n = (k - 1) // 2
-    shift = n_cols - cal
-    evens = tuple(w << shift for w in parity_words(cal, 0))
-    odds = tuple(w << shift for w in parity_words(cal, 1))
-    rows_a = evens * (n + 1) + odds * n + (0,) * r
-    rows_b = evens * n + odds * (n + 1) + (0,) * r
-    pair = MatrixPair.from_rows(rows_a, rows_b,
-                                FlipProfile.constant(flip, n_cols))
     epsilon = epsilon_gap(flip, cal, n_rows)
-    upper = _high_noise_upper(n_rows, r, epsilon)
     if r == 0:
         value = two_point_ci(epsilon)
     else:
-        value = _reduced_pair_ci(rows_a, rows_b, cal, shift, flip)
+        # The zero columns are identical and constant, so leaving them out
+        # keeps the value exact while the outcome space shrinks to 2**cal.
+        value = pair_ci(MatrixPair.from_rows(*_parity_split_rows(cal, k, r, 0),
+                                             FlipProfile.constant(flip, cal)))
+    pair = MatrixPair.from_rows(*_parity_split_rows(cal, k, r, n_cols - cal),
+                                FlipProfile.constant(flip, n_cols))
     return ExtremalPair(pair=pair, predicted_ci=value,
                         construction=CONSTRUCTION_NEAR_OPTIMAL,
-                        upper_bound=upper)
+                        upper_bound=two_point_ci(epsilon, r, n_rows))
 
 
-def _reduced_pair_ci(rows_a, rows_b, cal, shift, flip) -> float:
-    # The zero columns are identical and constant, so dropping them keeps
-    # the value exact while the outcome space shrinks to 2**cal.
-    return pair_ci(MatrixPair.from_rows((r >> shift for r in rows_a),
-                                        (r >> shift for r in rows_b),
-                                        FlipProfile.constant(flip, cal)))
+def _parity_split_rows(cal: int, k: int, r: int,
+                       shift: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both sides' rows: every even- and odd-parity ``cal``-bit word,
+    shifted up by ``shift``, in (k+1)/2 and (k-1)/2 copies swapped between
+    the sides, then ``r`` zero words."""
+    n = (k - 1) // 2
+    evens = tuple(w << shift for w in parity_words(cal, 0))
+    odds = tuple(w << shift for w in parity_words(cal, 1))
+    return (evens * (n + 1) + odds * n + (0,) * r,
+            evens * n + odds * (n + 1) + (0,) * r)
 
 
 def phase_sweep(n_rows: int, n_cols: int,

@@ -58,6 +58,14 @@ def _as_probs(dist) -> np.ndarray:
     return np.asarray(dist, dtype=float)
 
 
+def _as_prob_pair(p1, p2) -> tuple[np.ndarray, np.ndarray]:
+    """Both distributions as arrays, refused unless their shapes agree."""
+    a1, a2 = _as_probs(p1), _as_probs(p2)
+    if a1.shape != a2.shape:
+        raise InvalidInputError(f"dimension mismatch: {a1.shape} vs {a2.shape}")
+    return a1, a2
+
+
 def _logsumexp(t: np.ndarray) -> np.ndarray:
     """Row-wise ``log sum exp`` of a 2-D array with a finite maximum per row."""
     tmax = t.max(axis=1, keepdims=True)
@@ -137,9 +145,7 @@ def f_lambda(p1, p2, lam: float) -> float:
 
     Result lies in [0, 1]; it is 0 exactly when the supports are disjoint.
     """
-    a1, a2 = _as_probs(p1), _as_probs(p2)
-    if a1.shape != a2.shape:
-        raise InvalidInputError(f"dimension mismatch: {a1.shape} vs {a2.shape}")
+    a1, a2 = _as_prob_pair(p1, p2)
     check_unit(lam, "lambda")
     common = (a1 > 0.0) & (a2 > 0.0)
     if not common.any():
@@ -150,9 +156,7 @@ def f_lambda(p1, p2, lam: float) -> float:
 
 def chernoff_info(p1, p2) -> ChernoffResult:
     """Chernoff information between two distributions on the same outcome set."""
-    a1, a2 = _as_probs(p1), _as_probs(p2)
-    if a1.shape != a2.shape:
-        raise InvalidInputError(f"dimension mismatch: {a1.shape} vs {a2.shape}")
+    a1, a2 = _as_prob_pair(p1, p2)
     with np.errstate(divide="ignore"):
         logs = np.log(np.stack([a1, a2]))
     values, lams = chernoff_info_batch(logs[:1], logs[1:])
@@ -171,14 +175,22 @@ def bernoulli_ci(p: float, q: float) -> float:
     return chernoff_info([1.0 - p, p], [1.0 - q, q]).value
 
 
-def two_point_ci(x: float) -> float:
-    """``-log sqrt(1 - x^2)``, the value ``symmetric_ci`` checks and returns.
+def two_point_ci(x: float, shared: int = 0, n_rows: int = 1) -> float:
+    """``-log(shared/N + sqrt(rest^2 - x^2))`` with ``rest = (N - shared)/N``
+    and N = ``n_rows``: the value, attained at lambda = 1/2, of a symmetric
+    two-point pair of gap ``x`` whose mass ``shared/N`` lies on both sides.
 
-    Takes any real gap; infinite at ``|x| >= 1``.
+    Takes any real gap; at ``|x| >= rest`` the value is ``-log(shared/N)``,
+    infinite when nothing is shared.
     """
-    if abs(x) >= 1.0:
-        return math.inf
-    return -0.5 * math.log1p(-x * x)
+    if shared == 0:
+        return math.inf if abs(x) >= 1.0 else -0.5 * math.log1p(-x * x)
+    # rest is rounded once, and shared/N + rest = 1 is used exactly, so a
+    # small gap costs no cancellation
+    rest = (n_rows - shared) / n_rows
+    if abs(x) >= rest:
+        return -math.log(shared / n_rows)
+    return -math.log1p(-x * x / (rest + math.sqrt((rest - x) * (rest + x))))
 
 
 def symmetric_ci(epsilon: float) -> float:

@@ -166,16 +166,21 @@ def _merge_row(word: int, i: int, j: int) -> int:
     return (shrunk & ~(1 << i)) | (xor_bit << i)
 
 
+def _check_column_pair(pair: MatrixPair, i: int, j: int) -> None:
+    """Refuse column indices unless ``0 <= i < j < pair.n_cols``."""
+    if not 0 <= i < j < pair.n_cols:
+        raise InvalidInputError(
+            f"need 0 <= i < j < {pair.n_cols}, got i={i}, j={j}"
+        )
+
+
 def merge_columns(pair: MatrixPair, i: int, j: int) -> MatrixPair:
     """Replace columns ``i < j`` by their XOR (placed at index ``i``).
 
     The new column's flip rate is ``merged_flip(f_i, f_j)``.  On critical
     pairs the result stays critical and gains a degree of regularity.
     """
-    if not 0 <= i < j < pair.n_cols:
-        raise InvalidInputError(
-            f"need 0 <= i < j < {pair.n_cols}, got i={i}, j={j}"
-        )
+    _check_column_pair(pair, i, j)
     fi, fj = pair.profile.flips[i], pair.profile.flips[j]
     new_flips = list(pair.profile.flips)
     new_flips[i] = merged_flip(fi, fj)
@@ -262,10 +267,7 @@ def quadruple_partition(pair: MatrixPair, i: int, j: int) -> QuadruplePartition:
     ``s1 -> s2 -> r1`` into a quadruple.  Deterministic through index-order
     tie breaking.
     """
-    if not 0 <= i < j < pair.n_cols:
-        raise InvalidInputError(
-            f"need 0 <= i < j < {pair.n_cols}, got i={i}, j={j}"
-        )
+    _check_column_pair(pair, i, j)
     if pair.a == pair.b or not is_critical_pair(pair):
         raise ContractViolationError(
             "quadruple partition requires an unequal critical pair"

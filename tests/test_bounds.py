@@ -1,4 +1,7 @@
+import decimal
 import math
+import tracemalloc
+from decimal import Decimal
 
 import pytest
 
@@ -291,3 +294,109 @@ class TestEntryLimits:
         # 10**90 columns: neither the rows nor the profile are built
         with pytest.raises(InvalidInputError, match="n_cols"):
             build(n, 10 ** 90, 0.3)
+
+
+# N <= 199 and three large N, L <= 7, 53 flips from 0 to 1/2
+GRID_ROWS = tuple(range(1, 200)) + (10 ** 6, 10 ** 9, 10 ** 9 + 1)
+GRID_FLIPS = tuple(i / 104 for i in range(53))
+
+
+def two_point_decimal(x, shared, n_rows):
+    """``-log(shared/N + sqrt(rest^2 - x^2))`` to 60 digits, from the float
+    ``x`` and the exact ``rest = (N - shared)/N``; the root is 0 at
+    ``|x| >= rest``."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x, n = abs(Decimal(x)), Decimal(n_rows)
+        rest = (n - shared) / n
+        inner = shared / n + ((rest * rest - x * x).sqrt() if x < rest else 0)
+        return math.inf if inner == 0 else float(-inner.ln())
+
+
+def upper_arguments(report):
+    """The gap and shared row count of a report's two-point upper bound:
+    the odd-N value shares nothing, the even-N one a single row and the
+    high-noise ones the remainder R."""
+    deco = report.decomposition
+    if report.regime == "low_noise_odd":
+        return deco.eta, 0
+    if report.regime == "low_noise_even":
+        return deco.eta, 1
+    return deco.epsilon, deco.r
+
+
+def check_upper(report, n_rows):
+    """The upper bound is never below the lower one, never -0.0, equals the
+    60-digit value within 1e-15 relative, and is 0 at a zero gap."""
+    assert report.lower <= report.upper
+    assert math.copysign(1.0, report.upper) == 1.0
+    x, shared = upper_arguments(report)
+    if x == 0.0:
+        assert report.upper == 0.0
+        return
+    reference = two_point_decimal(x, shared, n_rows)
+    if math.isinf(reference):
+        assert math.isinf(report.upper)
+    else:
+        assert abs(report.upper - reference) <= 1e-15 * reference
+
+
+class TestTwoPointUpper:
+    """Every upper bound is one two-point value, computed without
+    cancellation, so none lies below its lower bound or prints as -0."""
+
+    def test_constant_flip_grid(self):
+        for n in GRID_ROWS:
+            for l in range(1, 8):
+                for f in GRID_FLIPS:
+                    check_upper(worst_case_ci_bounds(n, l, f), n)
+
+    def test_profile_grid(self):
+        # each profile cycles through the grid flips, so most mix noisy and
+        # quiet columns; one with no noisy column has no bounds
+        for n in GRID_ROWS[::10] + GRID_ROWS[-3:]:
+            for l in range(1, 8):
+                for j in range(len(GRID_FLIPS)):
+                    flips = tuple(GRID_FLIPS[(j + 7 * c) % len(GRID_FLIPS)]
+                                  for c in range(l))
+                    if max(flips) <= 0.25:
+                        continue
+                    check_upper(worst_case_ci_bounds_profile(
+                        n, l, FlipProfile(flips)), n)
+
+    def test_builder_uppers(self):
+        # the even-N pair certifies the low-noise even-N upper bound and the
+        # parity split the high-noise one, to the last bit
+        certifier = {"low_noise_even": build_even_n_pair,
+                     "high_noise": build_parity_split_pair}
+        for n in range(1, 40):
+            for l in range(1, 7):
+                for f in (0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.45, 0.5):
+                    builders = ((build_parity_split_pair, build_even_n_pair)
+                                if n % 2 == 0 else (build_parity_split_pair,))
+                    uppers = {b: b(n, l, f).upper_bound for b in builders}
+                    for upper in uppers.values():
+                        assert math.copysign(1.0, upper) == 1.0, (n, l, f)
+                    report = worst_case_ci_bounds(n, l, f)
+                    if report.regime in certifier:
+                        assert uppers[certifier[report.regime]] == report.upper
+
+    def test_tight_reports_bitwise_equal(self):
+        for n in range(1, 65):
+            for l in range(1, 7):
+                report = worst_case_ci_bounds(n, l, 0.3)
+                assert report.tight == (report.lower == report.upper), (n, l)
+
+
+class TestParityBuilderMemory:
+    def test_one_pair_of_rows_at_a_time(self):
+        # the pair at the active width is measured and released before the
+        # full pair is built: 40 bytes a row, like the other builders
+        tracemalloc.start()
+        try:
+            extremal = build_parity_split_pair(10 ** 6, 5, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert extremal.pair.a.n_rows == 10 ** 6
+        assert peak <= 41 * 10 ** 6

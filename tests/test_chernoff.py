@@ -15,7 +15,7 @@ from bmmci import (
     mixture_distribution,
     symmetric_ci,
 )
-from bmmci.chernoff import STEPS, chernoff_info_batch
+from bmmci.chernoff import STEPS, chernoff_info_batch, two_point_ci
 from conftest import random_distribution
 
 
@@ -53,6 +53,13 @@ class TestFLambda:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             f_lambda(np.array([1.0]), np.array([0.5, 0.5]), 0.5)
+
+    def test_dimension_mismatch_message(self):
+        # f_lambda and chernoff_info refuse with the same words
+        for call in (lambda a, b: f_lambda(a, b, 0.5), chernoff_info):
+            with pytest.raises(InvalidInputError,
+                               match=r"dimension mismatch: \(1,\) vs \(2,\)"):
+                call(np.array([1.0]), np.array([0.5, 0.5]))
 
     def test_lambda_out_of_range(self):
         p = np.array([0.5, 0.5])
@@ -239,6 +246,34 @@ class TestSymmetricCi:
         for eps in (0.05, 0.3, 0.9):
             solver = bernoulli_ci((1 - eps) / 2, (1 + eps) / 2)
             assert symmetric_ci(eps) == pytest.approx(solver, abs=1e-10)
+
+
+class TestTwoPointCi:
+    def test_nothing_shared_is_the_symmetric_value(self):
+        for x in (0.0, 1e-9, 0.16, -0.3, 0.999):
+            assert two_point_ci(x) == -0.5 * math.log1p(-x * x)
+        assert math.isinf(two_point_ci(1.0)) and math.isinf(two_point_ci(-2.0))
+
+    @pytest.mark.parametrize("shared,n_rows", [(0, 1), (1, 2), (1, 3),
+                                               (5, 13), (1, 10 ** 9)])
+    def test_zero_gap_is_positive_zero(self, shared, n_rows):
+        value = two_point_ci(0.0, shared, n_rows)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_gap_at_rest_leaves_the_shared_mass(self):
+        # rest = 2/3 is rounded once from the integers, so the gap 2/3
+        # reaches it exactly; 1 - 1/3 would sit an ulp above it
+        assert two_point_ci(2 / 3, 1, 3) == -math.log(1 / 3)
+        assert two_point_ci(-0.9, 1, 2) == math.log(2.0)
+
+    def test_matches_solver(self):
+        for x, shared, n_rows in [(0.1, 1, 4), (0.3, 2, 5), (0.05, 3, 7)]:
+            rest = (n_rows - shared) / n_rows
+            s = shared / n_rows
+            p = [s, (rest - x) / 2, (rest + x) / 2]
+            q = [s, (rest + x) / 2, (rest - x) / 2]
+            assert two_point_ci(x, shared, n_rows) == pytest.approx(
+                chernoff_info(p, q).value, abs=1e-12)
 
 
 class TestBernoulliFamilyMinimum:

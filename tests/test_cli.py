@@ -132,6 +132,18 @@ class TestBoundsCommand:
         assert report["regime"] == "generalized"
         assert report["decomposition"]["cal"] == 1
 
+    @pytest.mark.parametrize("n,l,flip", [("5", "3", "0.499"),
+                                          ("1000000000", "3", "0.1"),
+                                          ("2", "1", "0.5")])
+    def test_small_gaps_print_no_negative_zero(self, capsys, n, l, flip):
+        code, out, _ = run_cli(capsys, "bounds", "--n", n, "--l", l,
+                               "--flip", flip)
+        assert code == 0
+        assert ": -0" not in out
+        report = json.loads(out)
+        assert report["upper_nats"] >= report["lower_nats"]
+        assert report["lower_nats"] > 0 or flip == "0.5"
+
     def test_quiet_profile_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "3", "--l", "2",
                                "--flips", "0.1,0.2")

@@ -174,6 +174,13 @@ class TestMergeColumns:
         with pytest.raises(InvalidInputError):
             merge_columns(PARITY_PAIR, 1, 0)
 
+    def test_bad_indices_message(self):
+        # merge_columns and quadruple_partition refuse with the same words
+        for call in (merge_columns, quadruple_partition):
+            with pytest.raises(InvalidInputError,
+                               match=r"need 0 <= i < j < 2, got i=1, j=0"):
+                call(PARITY_PAIR, 1, 0)
+
     def test_merge_preserves_criticality_and_regularity(self, rng):
         profile = FlipProfile.constant(0.35, 3)
         for pair in random_pair_stream(5, 3, 60, seed=7, profile=profile,
