@@ -4,7 +4,9 @@ The Chernoff information is ``-min over lambda in [0,1] of log f_lambda``
 with ``f_lambda = sum_x p1(x)^lambda p2(x)^(1-lambda)``.  ``log f_lambda``
 is convex in lambda (each term is log-linear), so a golden-section search
 finds the minimizer reliably.  ``chernoff_info_batch`` is the one solver;
-``chernoff_info`` runs it on a batch of one.
+``chernoff_info`` runs it on a batch of one.  ``tangent_bound`` is no
+solver: its closed-form upper bound only sets the oracle's pruning
+threshold.
 
 Zero probabilities enter as ``-inf`` log-probabilities.  Only the common
 support contributes to ``f_lambda``: inside (0, 1) a term with a zero on
@@ -138,6 +140,25 @@ def chernoff_info_batch(logp1: np.ndarray, logp2: np.ndarray
     lams[live] = lam
     lams[values == 0.0] = 0.5
     return values, lams
+
+
+def tangent_bound(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Upper bound on the Chernoff information of each pair of rows.
+
+    Inputs are probability arrays of shape (B, K).  ``g = log f_lambda`` is
+    convex on [0, 1], so it lies above its tangent at 1/2, and the
+    information is at most ``-log BC + |g'(1/2)| / 2`` with ``BC = f_1/2``
+    and ``g'(1/2) = sum sqrt(p1 p2) (log p1 - log p2) / BC``; a term with a
+    zero on either side is 0.  Pairs with disjoint supports (BC = 0) are
+    bounded by inf.  No search is run: this costs one pass over the rows.
+    """
+    root = np.sqrt(p1) * np.sqrt(p2)
+    bc = root.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(root > 0.0, root * (np.log(p1) - np.log(p2)),
+                         0.0).sum(axis=1) / bc
+        bound = np.maximum(0.0, -np.log(bc) + 0.5 * np.abs(slope))
+    return np.where(bc > 0.0, bound, math.inf)
 
 
 def f_lambda(p1, p2, lam: float) -> float:

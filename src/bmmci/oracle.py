@@ -6,9 +6,12 @@ the exact minimum.  The scan prunes with the Bhattacharyya coefficient BC
 (f_lambda at 1/2, so ``-log BC`` bounds the Chernoff information from below),
 one small matrix product of square-rooted distributions per tile.  A first
 pass keeps each tile's largest BC and settles zero-information pairs block
-by block; the pairs of largest BC then warm-start the incumbent, and one
-batch solves every pair whose bound lies within ``PRUNE_MARGIN`` of it.
-Ties go to the first ``(i, j)``, so tile size does not change the result.
+by block.  Then one batch solves every pair whose ``-log BC`` lies within
+``PRUNE_MARGIN`` of an upper bound on the minimum that needs no solve:
+``log f_lambda`` is convex, so its tangent at 1/2 lies below it and bounds
+the value of the pairs of largest BC (``tangent_bound``).  A pair's
+``-log BC`` is at most its value, so the minimizer survives with its ties,
+which go to the first ``(i, j)`` whatever the tile size.
 
 The closest pair needs that scan over a small share of the pairs only.
 XOR-ing both sources with one mask permutes the outcomes of both
@@ -16,17 +19,14 @@ distributions alike, so the Chernoff information of ``(S, T)`` equals that
 of ``(S ^ a, T ^ a)`` for every mask and every profile.  Every unordered
 pair therefore has an image ``(r, j)`` with ``r`` the first source of its
 XOR orbit and ``j > r``: map the source whose orbit comes first to its
-orbit's first member.  Phase 1 scans those pairs.  The solver's last bits
-depend on the coordinates, so phase 2 maps every scanned pair within
-``PRUNE_MARGIN`` of the phase-1 minimum to its images and solves them as
-the full scan would, from the table rows in enumeration order.  The true
-minimizer's image lies within rounding of the phase-1 minimum, far inside
-the margin, so it is among them, and the answer is the full scan's to the
-last bit.  When the phase-1 minimum is within the margin of zero, the
-images could cover every pair (at f = 1/2 every pair has zero
-information), so the full scan runs instead.  It stops at the first block
-that holds a zero, and within that block at the first solver call that
-settles one, since the pairs go to the solver in (i, j) order.
+orbit's first member.  Phase 1 prunes those pairs, and its image of the
+minimizer survives: it has the same value to within rounding, far inside
+the margin.  The solver's last bits depend on the coordinates, so the batch
+also holds every survivor's images, solved as the full scan solves them:
+the answer is the full scan's to the last bit.  A batch minimum within the
+margin of zero runs the full scan instead, since the images could then
+cover every pair (at f = 1/2 all have zero information).  It stops at the
+first solver call that settles a zero, the pairs going in (i, j) order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from .chernoff import chernoff_info  # noqa: F401  looked up by bench/spans.py
-from .chernoff import chernoff_info_batch
+from .chernoff import chernoff_info_batch, tangent_bound
 from .exceptions import InvalidInputError, ResourceLimitError
 from .mixtures import (BinaryMatrix, FlipProfile, channel_kernel, check_budget,
                        check_profile, check_shape, decimal_text,
@@ -208,9 +208,9 @@ class ClosestPairResult:
 
     ``zero_ci`` marks the degenerate finding that two distinct sources map
     to the same output distribution, i.e. the family is not identifiable.
-    ``pairs_solved`` counts the distinct pairs sent to the Chernoff solver
-    over both phases of the scan: the pairs of orbit-first sources, and
-    either their images or the full scan that replaces them near zero.
+    ``pairs_solved`` counts the distinct pairs sent to the Chernoff solver:
+    the phase-1 survivors and their images, solved as one batch, and the
+    pairs of the full scan that runs when that batch's minimum is near zero.
     """
 
     pair: MatrixPair
@@ -221,32 +221,33 @@ class ClosestPairResult:
     pairs_solved: int
 
 
-def _solve(probs, ii, jj, best) -> tuple[tuple, np.ndarray]:
-    """Fold the pairs ``(ii[k], jj[k])`` of sources into the key ``best``.
+def _solve(probs, codes, best) -> tuple[tuple, np.ndarray]:
+    """Fold the pairs coded ``codes`` into the key ``best``.
 
-    The pairs come in increasing ``(i, j)``, and row ``ii[k]`` of ``probs``
-    is the solver's ``p1``.  Returns the smallest key
-    ``(value, i, j, lambda_star)`` and the values of the pairs solved, a
-    prefix of the pairs: once the key has value 0 and comes before the next
+    Pair ``(i, j)`` is coded ``i * M + j``, M being the rows of ``probs``;
+    the codes increase, and row i is the solver's ``p1``.  Returns the
+    smallest key ``(value, i, j, lambda_star)`` and the codes solved, a
+    prefix of ``codes``: once the key has value 0 and comes before the next
     pair, no later pair can beat it.  Logs are taken of the gathered rows
     only; an elementwise log gives the same bits either way.
     """
-    values = [np.empty(0)]
+    done = 0
     with np.errstate(divide="ignore"):  # -inf is the solver's zero support
-        for at in range(0, ii.size, _SOLVE_PAIRS):
-            if best[:3] < (0.0, ii[at], jj[at]):
+        for at in range(0, codes.size, _SOLVE_PAIRS):
+            i, j = np.divmod(codes[at:at + _SOLVE_PAIRS], probs.shape[0])
+            if best[:3] < (0.0, i[0], j[0]):
                 break
-            i, j = ii[at:at + _SOLVE_PAIRS], jj[at:at + _SOLVE_PAIRS]
             part, lams = chernoff_info_batch(np.log(probs[i]),
                                              np.log(probs[j]))
             k = np.lexsort((j, i, part))[0]
             best = min(best, (float(part[k]), int(i[k]), int(j[k]),
                               float(lams[k])))
-            values.append(part)
-    return best, np.concatenate(values)
+            done = at + i.size
+    return best, codes[:done]
 
 
-def _min_pair(probs, row_blocks) -> tuple[tuple, tuple]:
+def _min_pair(probs, row_blocks,
+              images=lambda codes: codes[:0]) -> tuple[tuple, np.ndarray]:
     """Smallest key ``(value, i, j, lambda_star)`` over the pairs of the tiles.
 
     ``row_blocks`` lists blocks of tiles in increasing i.  A tile
@@ -254,11 +255,16 @@ def _min_pair(probs, row_blocks) -> tuple[tuple, tuple]:
     in ``rows``, a slice or an increasing index array, and j in
     ``range(c0, c1)``.  A tile below the diagonal (``c1`` at most its first
     i) keeps every pair; any other keeps only those with j > i.  Row i is
-    the solver's ``p1``.  Returns the key and the arrays ``(i, j, value)``
-    of every pair solved.
+    the solver's ``p1``.  Returns the key and the codes ``i * M + j``
+    (``_solve``) of every pair solved.
+
+    Each block first solves its pairs within ``PRUNE_MARGIN`` of zero, up to
+    a block that holds a zero; then one batch solves the survivors of the
+    tangent bound and the codes ``images`` maps theirs to (module docstring).
     """
+    n = probs.shape[0]
     sqrt_probs = np.sqrt(probs)
-    positions = np.arange(probs.shape[0])
+    positions = np.arange(n)
 
     def coefficients(rows, c0, c1):
         bhatta = sqrt_probs[rows] @ sqrt_probs[c0:c1].T
@@ -268,21 +274,15 @@ def _min_pair(probs, row_blocks) -> tuple[tuple, tuple]:
             bhatta[np.arange(c0, c1) <= i[:, None]] = -1.0
         return bhatta
 
-    def solve(tiles, tops, lo, hi, best):
-        """Fold the pairs whose coefficient lies in [lo, hi) into ``best``."""
-        found = [np.empty((2, 0), dtype=np.int64)]
+    def between(tiles, tops, lo, hi):
+        """Codes of the pairs whose coefficient lies in [lo, hi), increasing."""
+        found = [np.empty(0, dtype=np.int64)]
         for (rows, c0, c1), top in zip(tiles, tops):
             if top >= lo:
                 bhatta = coefficients(rows, c0, c1)
-                hits = np.argwhere((bhatta >= lo) & (bhatta < hi)).T
-                found.append(np.stack((positions[rows][hits[0]],
-                                       hits[1] + c0)))
-        ii, jj = np.concatenate(found, axis=1)
-        order = np.lexsort((jj, ii))
-        best, values = _solve(probs, ii[order], jj[order], best)
-        solved.append((ii[order[:values.size]], jj[order[:values.size]],
-                       values))
-        return best
+                i, j = np.nonzero((bhatta >= lo) & (bhatta < hi))
+                found.append(positions[rows][i] * n + j + c0)
+        return np.sort(np.concatenate(found))
 
     # A pair survives when -log BC <= incumbent + PRUNE_MARGIN, so every
     # pair of zero information has BC >= zero_cut.
@@ -290,18 +290,23 @@ def _min_pair(probs, row_blocks) -> tuple[tuple, tuple]:
     best, solved, tiles, tops = (math.inf, math.inf, math.inf, 0.5), [], [], []
     for block in row_blocks:
         block_tops = [coefficients(*tile).max() for tile in block]
-        best = solve(block, block_tops, zero_cut, math.inf, best)
+        best, codes = _solve(probs, between(block, block_tops, zero_cut,
+                                            math.inf), best)
+        solved.append(codes)
         if best[0] == 0.0:  # no earlier block holds a zero
-            break
+            return best, np.concatenate(solved)
         tiles += block
         tops += block_tops
-    else:
-        # Warm start on the pairs of largest coefficient, then solve the rest.
-        top = min(max(tops), zero_cut)
-        best = solve(tiles, tops, top, zero_cut, best)
-        best = solve(tiles, tops, math.exp(-(best[0] + PRUNE_MARGIN)), top,
-                     best)
-    return best, tuple(np.concatenate(part) for part in zip(*solved))
+    # Any subset of the pairs of largest coefficient gives a bound.
+    top = between(tiles, tops, min(max(tops), zero_cut),
+                  zero_cut)[:_SOLVE_PAIRS]
+    bound = float(tangent_bound(probs[top // n], probs[top % n]).min(
+        initial=best[0]))
+    codes = between(tiles, tops, math.exp(-(bound + PRUNE_MARGIN)), zero_cut)
+    codes = np.sort(np.concatenate(
+        (codes, images(np.concatenate(solved + [codes])))))
+    best, codes = _solve(probs, codes, best)
+    return best, np.concatenate(solved + [codes])
 
 
 def _upper_tiles(heads: np.ndarray, n: int, side: int) -> list:
@@ -311,17 +316,17 @@ def _upper_tiles(heads: np.ndarray, n: int, side: int) -> list:
             for block in np.array_split(heads, range(side, heads.size, side))]
 
 
-def _pair_images(rows, counts, ii, jj, firsts) -> np.ndarray:
-    """Codes ``i * M + j`` of the images (i < j) of the pairs ``(ii, jj)``.
+def _pair_images(rows, counts, codes, firsts) -> np.ndarray:
+    """Codes ``i * M + j`` of the images (i < j) of the pairs coded ``codes``.
 
     An image XORs both sources of a pair with one mask.  Images whose i is
-    in ``firsts`` are left out: phase 1 covered them, solved or pruned as
-    unable to win.  The codes are distinct and increasing.
+    in ``firsts`` are left out: they are pairs of phase 1, solved or pruned
+    as unable to win.  The codes are distinct and increasing.
     """
     n = rows.shape[0]
     scanned = np.zeros(n, dtype=bool)
     scanned[firsts] = True
-    a, b = rows[ii], rows[jj]
+    a, b = rows[codes // n], rows[codes % n]
     images = [np.empty(0, dtype=np.int64)]
     for mask in range(counts.shape[1] - 1):
         ia, ib = _xor_images(a, counts, mask), _xor_images(b, counts, mask)
@@ -351,28 +356,22 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
     pair order, making the result independent of the tile schedule; the
     scan runs on the calling thread.
 
-    Phase 1 scans the pairs ``(r, j > r)`` whose first source ``r`` comes
-    first in its XOR orbit.  Unless its minimum is within ``PRUNE_MARGIN``
-    of zero, phase 2 solves every image of the scanned pairs within
-    ``PRUNE_MARGIN`` of that minimum whose first source is not orbit-first
-    (the others were scanned), in enumeration coordinates.  Near zero the
-    full scan runs instead.  The module docstring says why this is exact.
+    Phase 1 prunes the pairs ``(r, j > r)`` whose first source ``r`` comes
+    first in its XOR orbit, and one batch solves the survivors with their
+    images whose first source is not orbit-first; near zero the full scan
+    runs instead.  The module docstring says why this is exact.
     """
     rows, probs = family_table(n_rows, n_cols, profile, max_matrices)
     n = rows.shape[0]  # at least 2: N, L >= 1
     side = max(1, math.isqrt(_TILE_MADDS // probs.shape[1]))
     counts = _rank_counts(n_rows, n_cols)
     firsts = _orbit_firsts(rows, counts)
-    best, (ii, jj, values) = _min_pair(probs, _upper_tiles(firsts, n, side))
-    if best[0] > PRUNE_MARGIN:
-        near = values <= best[0] + PRUNE_MARGIN
-        images = _pair_images(rows, counts, ii[near], jj[near], firsts)
-        best, _ = _solve(probs, images // n, images % n, best)
-        solved = ii.size + images.size
-    else:
-        best, (i2, j2, _) = _min_pair(probs, _upper_tiles(np.arange(n), n,
-                                                          side))
-        solved = _distinct(np.concatenate((ii * n + jj, i2 * n + j2))).size
+    best, solved = _min_pair(
+        probs, _upper_tiles(firsts, n, side),
+        lambda codes: _pair_images(rows, counts, codes, firsts))
+    if best[0] <= PRUNE_MARGIN:
+        best, rest = _min_pair(probs, _upper_tiles(np.arange(n), n, side))
+        solved = _distinct(np.concatenate((solved, rest)))
     value, bi, bj, lam = best
     return ClosestPairResult(
         pair=MatrixPair(a=family_source(rows, bi, n_cols),
@@ -381,7 +380,7 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
         candidates_examined=n * (n - 1) // 2,
         lambda_star=lam,
         zero_ci=(value == 0.0),
-        pairs_solved=solved,
+        pairs_solved=solved.size,
     )
 
 

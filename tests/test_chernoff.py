@@ -15,7 +15,8 @@ from bmmci import (
     mixture_distribution,
     symmetric_ci,
 )
-from bmmci.chernoff import STEPS, chernoff_info_batch, two_point_ci
+from bmmci.chernoff import (STEPS, chernoff_info_batch, tangent_bound,
+                            two_point_ci)
 from conftest import random_distribution
 
 
@@ -274,6 +275,46 @@ class TestTwoPointCi:
             q = [s, (rest + x) / 2, (rest - x) / 2]
             assert two_point_ci(x, shared, n_rows) == pytest.approx(
                 chernoff_info(p, q).value, abs=1e-12)
+
+
+class TestTangentBound:
+    @pytest.mark.parametrize("size", [2, 4, 16, 64])
+    def test_bounds_the_solver(self, size):
+        rng = np.random.default_rng(size)
+        p1 = rng.dirichlet(np.ones(size), size=200)
+        p2 = rng.dirichlet(np.ones(size), size=200)
+        # zeros on either side, then identical rows, then disjoint supports
+        p1[:60][rng.random((60, size)) < 0.3] = 0.0
+        p2[30:90][rng.random((60, size)) < 0.3] = 0.0
+        p2[90:120] = p1[90:120]
+        side = rng.random((40, size)) < 0.5
+        side[:, 0], side[:, -1] = True, False
+        p1[120:160][~side] = 0.0
+        p2[120:160][side] = 0.0
+        p1[:, 0] += (p1.sum(axis=1) == 0.0)
+        p2[:, -1] += (p2.sum(axis=1) == 0.0)
+        p1 /= p1.sum(axis=1, keepdims=True)
+        p2 /= p2.sum(axis=1, keepdims=True)
+        values, _ = chernoff_info_batch(_logs(p1), _logs(p2))
+        bound = tangent_bound(p1, p2)
+        # where log f_lambda is linear (one common outcome) the tangent is
+        # the function itself, and the two formulas agree to rounding only:
+        # a few ulps, far below the oracle's PRUNE_MARGIN
+        finite = np.isfinite(values)
+        assert (bound[finite] >= values[finite]
+                - 1e-14 * (1.0 + values[finite])).all()
+        disjoint = (np.sqrt(p1) * np.sqrt(p2)).sum(axis=1) == 0.0
+        assert disjoint[120:160].all()
+        assert np.array_equal(np.isinf(bound), disjoint)
+        assert np.array_equal(np.isinf(values), disjoint)
+        assert (bound[90:120] <= 1e-15).all()  # BC = 1 up to rounding
+
+    def test_tight_at_one_half(self):
+        # a mirrored pair has lambda* = 1/2, where the tangent is flat
+        p = np.array([[0.2, 0.3, 0.5]])
+        bound = tangent_bound(p, p[:, ::-1])[0]
+        assert bound == pytest.approx(chernoff_info(p[0], p[0, ::-1]).value,
+                                      rel=1e-12)
 
 
 class TestBernoulliFamilyMinimum:

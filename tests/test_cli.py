@@ -6,12 +6,16 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bmmci.bounds
 import bmmci.cli
 import bmmci.oracle
-from bmmci import FlipProfile, canonicalize, closest_pair, format_matrix_text
+from bmmci import (FlipProfile, canonicalize, closest_pair, count_matrices,
+                   format_matrix_text)
 from bmmci.cli import dumps_report, main
+from test_oracle import reference_closest_pair
 
 
 def run_cli(capsys, *argv):
@@ -526,3 +530,54 @@ class TestSizeArguments:
             assert code == 0
             peaks.append(peak)
         assert peaks[1] - peaks[0] <= 10000 * rate
+
+
+# a flip rate at an edge of [0, 1], at 1/2, or strictly inside
+_FLIPS = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(
+    0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _scan_argv(draw):
+    """``closest-pair``, ``verify`` or ``bounds`` on a small family, with
+    sizes, caps and profiles that may be out of range."""
+    command = draw(st.sampled_from(["closest-pair", "verify", "bounds"]))
+    # sampled, not drawn as integers, so that 0 (exit 2) stays rare
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 0]))
+    l = draw(st.sampled_from([1, 2, 3, 0]))
+    argv = [command, "--n", str(n), "--l", str(l)]
+    if draw(st.booleans()):
+        argv += ["--flip", repr(draw(_FLIPS))]
+    else:
+        width = draw(st.sampled_from([l, l, l, l + 1]))
+        argv += ["--flips", ",".join(
+            repr(f) for f in draw(st.lists(_FLIPS, min_size=width,
+                                           max_size=width)))]
+    if command != "bounds" and draw(st.booleans()):
+        argv += ["--max-matrices", str(draw(st.integers(-1, 1000)))]
+    return argv
+
+
+class TestArgumentFuzz:
+    """Every drawn call either answers or exits with its typed error."""
+
+    # run_cli drains capsys on each call, so examples share nothing
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_scan_argv())
+    def test_exit_codes_and_answers(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        if code != 0 or argv[0] != "closest-pair":
+            return
+        report = json.loads(out)
+        n, l = report["N"], report["L"]
+        if count_matrices(n, l) > 60:
+            return
+        value, a, b, lam, _ = reference_closest_pair(
+            n, l, FlipProfile(tuple(report["profile"])))
+        assert float(report["min_ci_nats"]) == value
+        assert report["pair_a"] == format_matrix_text(a).splitlines()
+        assert report["pair_b"] == format_matrix_text(b).splitlines()
+        assert report["lambda_star"] == lam

@@ -20,14 +20,16 @@ from bmmci import (
     exact_error_exponent,
     is_critical_pair,
     mixture_distribution,
+    parse_matrix_text,
     random_pair_stream,
 )
-from bmmci.chernoff import chernoff_info_batch
-from bmmci.oracle import canonical_rows, family_table
+from bmmci.chernoff import chernoff_info_batch, tangent_bound
+from bmmci.oracle import PRUNE_MARGIN, canonical_rows, family_table
 
 
 def _family_logs(n, l, profile):
-    rows, probs = family_table(n, l, profile, 10 ** 6)
+    # looked up on the module, so a test's table stands in for it
+    rows, probs = bmmci.oracle.family_table(n, l, profile, 10 ** 6)
     matrices = [BinaryMatrix(tuple(r), l) for r in rows.tolist()]
     with np.errstate(divide="ignore"):
         return matrices, np.log(probs)
@@ -293,6 +295,58 @@ class TestExactness:
         monkeypatch.setattr(bmmci.oracle, "_TILE_MADDS", 4 * 2)
         res = closest_pair(5, 1, FlipProfile.constant(0.1, 1))
         assert (res.pair.a, res.pair.b) == (matrices[0], matrices[4])
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Rows of each ``chernoff_info_batch`` call the oracle makes."""
+    calls = []
+
+    def counted(logp1, logp2):
+        calls.append(logp1.shape[0])
+        return chernoff_info_batch(logp1, logp2)
+
+    monkeypatch.setattr(bmmci.oracle, "chernoff_info_batch", counted)
+    return calls
+
+
+class TestOneSolve:
+    """Away from zero, a search makes one solver call: the tangent bound
+    sets the threshold, and the XOR images join the batch."""
+
+    @pytest.mark.parametrize("n,l,f", [(4, 4, 0.3), (4, 4, 0.0),
+                                       (3, 5, 0.3), (3, 6, 0.3)])
+    def test_closest_pair(self, solver_calls, n, l, f):
+        res = closest_pair(n, l, FlipProfile.constant(f, l))
+        assert solver_calls == [res.pairs_solved]
+
+    def test_exact_error_exponent(self, solver_calls):
+        # the truth of the exponent benchmark
+        truth = parse_matrix_text("000000\n101000\n100100\n")
+        exact_error_exponent(truth, FlipProfile.constant(0.2, 6))
+        assert len(solver_calls) == 1
+
+    def test_bound_far_from_one_half(self, monkeypatch):
+        # (0, 1) has the largest coefficient and lambda* = 0.41, so its
+        # tangent bound (0.0065) admits (2, 5) at -log BC = 0.0053, which
+        # its value (0.0049) prunes; the mirrored pair (2, 3) wins
+        probs = np.array([[0.002, 0.998], [0.02, 0.98], [0.451, 0.549],
+                          [0.549, 0.451], [0.9, 0.1], [0.35, 0.65]])
+        monkeypatch.setattr(bmmci.oracle, "family_table",
+                            lambda *args: (canonical_rows(5, 1), probs))
+        monkeypatch.setattr(bmmci.oracle, "_TILE_MADDS", 4 * 2)
+        top = chernoff_info(probs[0], probs[1]).value
+        admitted = -math.log(np.sqrt(probs[2] * probs[5]).sum())
+        assert top + PRUNE_MARGIN < admitted < tangent_bound(probs[:1],
+                                                             probs[1:2])[0]
+        profile = FlipProfile.constant(0.1, 1)
+        value, a, b, lam, _ = reference_closest_pair(5, 1, profile)
+        res = closest_pair(5, 1, profile)
+        assert (res.min_ci, res.pair.a, res.pair.b, res.lambda_star) == (
+            value, a, b, lam)
+        assert (a.rows, b.rows) == ((0, 0, 0, 1, 1), (0, 0, 1, 1, 1))
+        # (0, 1), (2, 3), (2, 5) and (4, 5), the image of (0, 1)
+        assert res.pairs_solved == 4
 
 
 class TestOrbits:
