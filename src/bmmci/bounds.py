@@ -101,6 +101,20 @@ def _eta(flip: float, n_rows: int) -> float:
     return (1.0 - 2.0 * flip) / n_rows
 
 
+def _low_noise_ci(flip: float, n_rows: int) -> float:
+    """``two_point_ci`` of the gap (1 - 2f) / N.
+
+    At N = 1 the gap keeps no digit of a flip below 2**-54, so the value is
+    read off 1 - gap**2 = 4f(1 - f) instead.
+    """
+    if n_rows > 1:
+        return two_point_ci(_eta(flip, n_rows))
+    if flip in (0.0, 1.0):
+        return math.inf
+    # 0.0 - keeps f = 1/2 at 0.0 rather than -0.0
+    return 0.0 - 0.5 * math.log(4.0 * flip * (1.0 - flip))
+
+
 def active_width(n_rows: int, n_cols: int) -> int:
     """min(L, floor(log2 N) + 1): columns the worst-case pair can exploit."""
     return min(n_cols, n_rows.bit_length())
@@ -146,7 +160,7 @@ def worst_case_ci_bounds(n_rows: int, n_cols: int, flip: float) -> BoundReport:
 
     k, r = decompose(n_rows, cal)
     eta = _eta(flip, n_rows)
-    lower = two_point_ci(eta)
+    lower = _low_noise_ci(flip, n_rows)
     deco = Decomposition(cal=cal, k=k, r=r, epsilon=epsilon, eta=eta)
     if n_rows % 2 == 1:
         return BoundReport(lower=lower, upper=lower,
@@ -211,7 +225,7 @@ def build_hamming_one_pair(n_rows: int, n_cols: int, flip: float) -> ExtremalPai
     rows_b = (v1,) * (n + 1) + (v2,) * n
     pair = MatrixPair.from_rows(rows_a, rows_b,
                                 FlipProfile.constant(flip, n_cols))
-    value = two_point_ci(_eta(flip, n_rows))
+    value = _low_noise_ci(flip, n_rows)
     return ExtremalPair(pair=pair, predicted_ci=value,
                         construction=CONSTRUCTION_HAMMING_ONE,
                         upper_bound=value)
@@ -291,6 +305,9 @@ def phase_sweep(n_rows: int, n_cols: int,
     for f in f_grid:
         if not 0.0 <= f <= 0.5:
             raise InvalidInputError(f"sweep flip rate {f!r} outside [0, 0.5]")
-        out.append((f, two_point_ci(_eta(f, n_rows)),
-                    two_point_ci(epsilon_gap(f, cal, n_rows))))
+        low = _low_noise_ci(f, n_rows)
+        # at N = 1 both gaps are 1 - 2f
+        high = low if n_rows == 1 else two_point_ci(
+            epsilon_gap(f, cal, n_rows))
+        out.append((f, low, high))
     return out

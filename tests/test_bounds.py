@@ -183,6 +183,44 @@ class TestHammingOnePair:
                                                       abs=1e-15)
 
 
+class TestSingleRowSmallFlip:
+    """At N = 1 the gap 1 - 2f keeps no digit of a flip below 2**-54; the
+    value -log(4f(1 - f))/2 must not depend on it."""
+
+    FLIPS = (5e-324, 1e-300, 1e-100, 1e-17, 1e-12, 1e-9, 1e-3, 0.1, 0.25)
+
+    @staticmethod
+    def exact(f):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            f = Decimal(f)
+            return float(-(4 * f * (1 - f)).ln() / 2)
+
+    @pytest.mark.parametrize("f", FLIPS)
+    def test_every_low_noise_value(self, f):
+        value = self.exact(f)
+        for l in (1, 2, 3):
+            report = worst_case_ci_bounds(1, l, f)
+            assert report.lower == report.upper
+            assert report.lower == pytest.approx(value, rel=1e-15, abs=0)
+            # folded back to 1 - (1 - f), which is 0 for a flip below 2**-54
+            mirror = 1 - f
+            assert worst_case_ci_bounds(1, l, mirror).lower == pytest.approx(
+                self.exact(1 - mirror), rel=1e-15, abs=0)
+            extremal = build_hamming_one_pair(1, l, f)
+            assert extremal.predicted_ci == report.lower
+            assert pair_ci(extremal.pair) == pytest.approx(value, rel=1e-14,
+                                                           abs=0)
+            ((_, low, high),) = phase_sweep(1, l, [f])
+            assert low == high == report.lower
+
+    def test_endpoints(self):
+        assert worst_case_ci_bounds(1, 2, 0.0).lower == math.inf
+        ((_, low, high),) = phase_sweep(1, 2, [0.5])
+        assert math.copysign(1.0, low) == math.copysign(1.0, high) == 1.0
+        assert low == high == 0.0
+
+
 class TestEvenNPair:
     def test_two_row_shape(self):
         pair = build_even_n_pair(2, 1, 0.1).pair

@@ -325,6 +325,17 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["status"] == "within-bounds"
 
+    @pytest.mark.parametrize("flip", ["1e-09", "1e-17", "5e-324"])
+    def test_single_row_tiny_flip(self, capsys, flip):
+        # the bound used to be read off the gap 1 - 2f, which rounds away a
+        # tiny flip: 1.4e-8 nats too low at 1e-9, infinite below 2**-54
+        code, out, _ = run_cli(capsys, "verify", "--n", "1", "--l", "1",
+                               "--flip", flip)
+        assert code == 0
+        report = json.loads(out)
+        assert report["status"] == "tight-match"
+        assert math.isfinite(report["upper_nats"])
+
     def test_bound_violation_exits_four(self, capsys, monkeypatch):
         # The true minimum at N=3, L=2, f=0.1 is about 0.037 nats.
         real = bmmci.cli.bounds_mod.worst_case_ci_bounds(3, 2, 0.1)
