@@ -1,10 +1,14 @@
 """Command-line front end: parse inputs, dispatch, emit JSON/CSV reports.
 
-Exit codes: 0 on success, 2 on usage or input errors, 3 when an enumeration
-cap is exceeded, 1 on estimation failures, 4 when ``verify`` finds the oracle
-minimum outside the bounds (the report is still written).  Reports are
-deterministic byte for byte given the same arguments and seed: floats are
-printed with 17 significant digits and infinities as the string "inf".
+Handlers return their fields (``sweep --format csv`` its text); ``main``
+adds ``schema_version`` and ``command``, serializes and writes the report.
+
+Exit codes: 0 on success, 2 on usage or input errors (an output file that
+cannot be written among them), 3 when an enumeration cap is exceeded, 1 on
+estimation failures, 4 when ``verify`` finds the oracle minimum outside the
+bounds (the report is still written).  Reports are deterministic byte for
+byte given the same arguments and seed: floats are printed with 17
+significant digits and infinities as the string "inf".
 """
 
 from __future__ import annotations
@@ -101,11 +105,11 @@ def dumps_report(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliUsageError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _matrix_lines(m: BinaryMatrix) -> list[str]:
@@ -143,11 +147,7 @@ def _check_threads(args) -> None:
         raise CliUsageError(f"--threads must be >= 1, got {args.threads}")
 
 
-def _profile_list(profile: FlipProfile) -> list[float]:
-    return [float(f) for f in profile.flips]
-
-
-def _cmd_ci(args) -> int:
+def _cmd_ci(args) -> dict:
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
     if a.n_cols != b.n_cols or a.n_rows != b.n_rows:
@@ -157,22 +157,23 @@ def _cmd_ci(args) -> int:
     profile = _parse_profile(args, a.n_cols)
     result = chernoff_info(mixture_distribution(a, profile),
                            mixture_distribution(b, profile))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "ci",
+    return {
         "N": a.n_rows,
         "L": a.n_cols,
-        "profile": _profile_list(profile),
+        "profile": profile.flips,
         "value_nats": result.value,
         "lambda_star": result.lambda_star,
         "iterations": result.iterations,
         "converged": result.converged,
     }
-    _emit(dumps_report(report) + "\n", args.out)
-    return 0
 
 
-def _bound_report_dict(report) -> dict:
+def _bounds(args, profile: FlipProfile) -> dict:
+    """The bounds fields of the ``bounds`` and ``verify`` reports."""
+    if args.flips is None:
+        report = bounds_mod.worst_case_ci_bounds(args.n, args.l, args.flip)
+    else:
+        report = bounds_mod.worst_case_ci_bounds_profile(args.n, args.l, profile)
     deco = report.decomposition
     return {
         "lower_nats": report.lower,
@@ -190,40 +191,23 @@ def _bound_report_dict(report) -> dict:
     }
 
 
-def _compute_bounds(args, profile: FlipProfile):
-    if args.flips is None:
-        return bounds_mod.worst_case_ci_bounds(args.n, args.l, profile.flips[0])
-    return bounds_mod.worst_case_ci_bounds_profile(args.n, args.l, profile)
-
-
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> dict:
     profile = _parse_profile(args, args.l)
-    report = _compute_bounds(args, profile)
+    bounds = _bounds(args, profile)
     check_budget(args.l * _REPORT_COLUMN_BYTES,
                  f"a report of {args.l} profile columns")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bounds",
-        "N": args.n,
-        "L": args.l,
-        "profile": _profile_list(profile),
-    }
-    payload.update(_bound_report_dict(report))
-    _emit(dumps_report(payload) + "\n", args.out)
-    return 0
+    return {"N": args.n, "L": args.l, "profile": profile.flips, **bounds}
 
 
-def _cmd_closest_pair(args) -> int:
+def _cmd_closest_pair(args) -> dict:
     profile = _parse_profile(args, args.l)
     _check_threads(args)
     result = closest_pair(args.n, args.l, profile,
                           max_matrices=args.max_matrices)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "closest-pair",
+    return {
         "N": args.n,
         "L": args.l,
-        "profile": _profile_list(profile),
+        "profile": profile.flips,
         "min_ci_nats": result.min_ci,
         "pair_a": _matrix_lines(result.pair.a),
         "pair_b": _matrix_lines(result.pair.b),
@@ -231,35 +215,30 @@ def _cmd_closest_pair(args) -> int:
         "lambda_star": result.lambda_star,
         "zero_ci": result.zero_ci,
     }
-    _emit(dumps_report(report) + "\n", args.out)
-    return 0
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> dict:
     builder = _CONSTRUCTION_BUILDERS[args.kind]
     extremal = builder(args.n, args.l, args.flip)
     check_budget(args.n * (_TEXT_ROW_BYTES + 3 * args.l),
                  f"the text of a pair of {args.n} rows")
-    Path(args.out_a).write_text(format_matrix_text(extremal.pair.a))
-    Path(args.out_b).write_text(format_matrix_text(extremal.pair.b))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "construct",
+    _write(args.out_a, format_matrix_text(extremal.pair.a))
+    _write(args.out_b, format_matrix_text(extremal.pair.b))
+    return {
         "kind": args.kind,
         "construction": extremal.construction,
         "N": args.n,
         "L": args.l,
-        "flip": float(args.flip),
+        "flip": args.flip,
         "predicted_ci_nats": extremal.predicted_ci,
         "upper_bound_nats": extremal.upper_bound,
         "file_a": args.out_a,
         "file_b": args.out_b,
     }
-    _emit(dumps_report(report) + "\n", args.out)
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict | str:
+    """The report fields, or for ``--format csv`` the finished text."""
     if args.steps < 1:
         raise CliUsageError(f"--steps must be >= 1, got {args.steps}")
     check_budget((args.steps + 1) * _STEP_BYTES[args.format],
@@ -272,23 +251,18 @@ def _cmd_sweep(args) -> int:
         for f, low, high in rows:
             lines.append(",".join(_fmt_float(v).strip('"')
                                   for v in (f, low, high)))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "sweep",
-            "N": args.n,
-            "L": args.l,
-            "rows": [
-                {"f": f, "bound_low_noise_nats": low, "bound_high_noise_nats": high}
-                for f, low, high in rows
-            ],
-        }
-        _emit(dumps_report(report) + "\n", args.out)
-    return 0
+        return "\n".join(lines)
+    return {
+        "N": args.n,
+        "L": args.l,
+        "rows": [
+            {"f": f, "bound_low_noise_nats": low, "bound_high_noise_nats": high}
+            for f, low, high in rows
+        ],
+    }
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     truth = _load_matrix(args.truth)
     profile = _parse_profile(args, truth.n_cols)
     try:
@@ -301,12 +275,10 @@ def _cmd_simulate(args) -> int:
                          args.max_matrices)
     estimate = estimate_exponent(cfg, table=table)
     d_exact, nearest = exact_error_exponent(truth, profile, table=table)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
+    return {
         "truth": _matrix_lines(truth),
-        "profile": _profile_list(profile),
-        "m_values": list(m_values),
+        "profile": profile.flips,
+        "m_values": m_values,
         "trials": args.trials,
         "seed": args.seed,
         "per_m": [
@@ -319,47 +291,40 @@ def _cmd_simulate(args) -> int:
             for m, rate, (low, high) in estimate.per_m
         ],
         "slope_nats_per_sample": estimate.slope,
-        "slope_interval": list(estimate.slope_interval),
+        "slope_interval": estimate.slope_interval,
         "exact_exponent_nats": d_exact,
         "nearest_alternative": _matrix_lines(nearest),
         "slope_over_exact": (estimate.slope / d_exact
                              if d_exact > 0 else None),
     }
-    _emit(dumps_report(report) + "\n", args.out)
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     profile = _parse_profile(args, args.l)
-    bound_report = _compute_bounds(args, profile)
+    bounds = _bounds(args, profile)
     _check_threads(args)
     result = closest_pair(args.n, args.l, profile,
                           max_matrices=args.max_matrices)
     tol = 1e-9
-    in_sandwich = (bound_report.lower - tol <= result.min_ci
-                   <= bound_report.upper + tol)
-    if bound_report.tight and abs(result.min_ci - bound_report.lower) <= tol:
+    lower, upper = bounds["lower_nats"], bounds["upper_nats"]
+    if bounds["tight"] and abs(result.min_ci - lower) <= tol:
         status = "tight-match"
-    elif in_sandwich:
+    elif lower - tol <= result.min_ci <= upper + tol:
         status = "within-bounds"
     else:
         status = "bound-violation"
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
+    return {
         "N": args.n,
         "L": args.l,
-        "profile": _profile_list(profile),
+        "profile": profile.flips,
         "oracle_min_ci_nats": result.min_ci,
         "pair_a": _matrix_lines(result.pair.a),
         "pair_b": _matrix_lines(result.pair.b),
         "candidates": result.candidates_examined,
         "zero_ci": result.zero_ci,
         "status": status,
+        **bounds,
     }
-    report.update(_bound_report_dict(bound_report))
-    _emit(dumps_report(report) + "\n", args.out)
-    return 4 if status == "bound-violation" else 0
 
 
 def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
@@ -455,10 +420,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        code = 0
+        if isinstance(report, dict):
+            if report.get("status") == "bound-violation":
+                code = 4
+            report = dumps_report({"schema_version": SCHEMA_VERSION,
+                                   "command": args.command, **report})
+        if args.out:
+            _write(args.out, report + "\n")
+        else:
+            sys.stdout.write(report + "\n")
+        return code
     except (CliUsageError, InvalidInputError, UnsupportedRegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

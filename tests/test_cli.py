@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -252,6 +253,77 @@ class TestGoldenScans:
                 assert report[key] == value
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestReportBytes:
+    """Every command's report, pinned byte for byte to its recorded text,
+    on stdout and through ``--out`` alike."""
+
+    CALLS = {
+        "ci_flip.json": ("ci", "--a", "a.txt", "--b", "b.txt",
+                         "--flip", "0.1"),
+        "ci_flips.json": ("ci", "--a", "a.txt", "--b", "b.txt",
+                          "--flips", "0.3,0.1"),
+        "bounds_flip.json": ("bounds", "--n", "3", "--l", "2",
+                             "--flip", "0.1"),
+        "bounds_flips.json": ("bounds", "--n", "5", "--l", "3",
+                              "--flips", "0.3,0.1,0.45"),
+        "closest_pair.json": ("closest-pair", "--n", "3", "--l", "2",
+                              "--flip", "0.3"),
+        "construct.json": ("construct", "--kind", "near-optimal", "--n", "4",
+                           "--l", "3", "--flip", "0.3",
+                           "--out-a", "pair_a.txt", "--out-b", "pair_b.txt"),
+        "sweep.csv": ("sweep", "--n", "3", "--l", "3", "--steps", "8"),
+        "sweep.json": ("sweep", "--n", "3", "--l", "3", "--steps", "8",
+                       "--format", "json"),
+        "simulate.json": ("simulate", "--truth", "truth.txt", "--flip", "0.3",
+                          "--m-values", "5,15,25", "--trials", "500",
+                          "--seed", "9"),
+        "verify.json": ("verify", "--n", "4", "--l", "2", "--flip", "0.1"),
+    }
+
+    @pytest.fixture(autouse=True)
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_matrix(tmp_path / "a.txt", [0, 1, 3], 2)
+        write_matrix(tmp_path / "b.txt", [0, 2, 3], 2)
+        write_matrix(tmp_path / "truth.txt", [0, 1, 1], 1)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_report(self, tmp_path, capsys, name):
+        expected = (GOLDEN / name).read_text()
+        assert run_cli(capsys, *self.CALLS[name]) == (0, expected, "")
+        assert run_cli(capsys, *self.CALLS[name], "--out", "report") == (
+            0, "", "")
+        assert (tmp_path / "report").read_text() == expected
+
+    def test_construct_files(self, tmp_path, capsys):
+        assert run_cli(capsys, *self.CALLS["construct.json"])[0] == 0
+        for name in ("pair_a.txt", "pair_b.txt"):
+            assert (tmp_path / name).read_text() == (
+                GOLDEN / f"construct_{name}").read_text()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a usage error, exit 2."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("closest-pair", "--n", "2", "--l", "2", "--flip", "0.3"), "--out"),
+        (("sweep", "--n", "3", "--l", "3", "--steps", "5"), "--out"),
+        (("construct", "--kind", "hamming-one", "--n", "3", "--l", "2",
+          "--flip", "0.1", "--out-b", "b.txt"), "--out-a"),
+    ], ids=["json", "csv", "construct"])
+    @pytest.mark.parametrize("target", ["missing/x", "."],
+                             ids=["missing-directory", "directory"])
+    def test_exits_two(self, tmp_path, monkeypatch, capsys, argv, flag,
+                       target):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv, flag, target)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target!r}: ")
+
+
 class TestConstructCommand:
     @pytest.mark.parametrize("kind,n,l,f", [
         ("hamming-one", 5, 2, 0.1),
@@ -346,6 +418,7 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--n", "3", "--l", "2",
                                "--flip", "0.1")
         assert code == 4
+        assert out == (GOLDEN / "verify_violation.json").read_text()
         report = json.loads(out)
         assert report["status"] == "bound-violation"
         assert report["oracle_min_ci_nats"] < report["lower_nats"]
@@ -592,3 +665,84 @@ class TestArgumentFuzz:
         assert report["pair_a"] == format_matrix_text(a).splitlines()
         assert report["pair_b"] == format_matrix_text(b).splitlines()
         assert report["lambda_star"] == lam
+
+
+@st.composite
+def _matrix_text(draw, n_rows, n_cols):
+    words = draw(st.lists(st.integers(0, 2 ** n_cols - 1),
+                          min_size=n_rows, max_size=n_rows))
+    return format_matrix_text(canonicalize(words, n_cols))
+
+
+@st.composite
+def _profile_flags(draw, n_cols, flips=_FLIPS):
+    """``--flip``, ``--flips`` of the right or a wrong width, or neither."""
+    kind = draw(st.sampled_from(["flip", "flip", "flips", "flips", "none"]))
+    if kind == "flip":
+        return ["--flip", repr(draw(flips))]
+    if kind == "none":
+        return []
+    width = draw(st.sampled_from([n_cols, n_cols, n_cols, n_cols + 1]))
+    return ["--flips", ",".join(repr(f) for f in draw(
+        st.lists(flips, min_size=width, max_size=width)))]
+
+
+@st.composite
+def _file_argv(draw):
+    """``simulate``, ``construct``, ``ci`` or ``sweep`` on small inputs, and
+    the matrix files they read, with arguments that may be out of range."""
+    command = draw(st.sampled_from(["simulate", "construct", "ci", "sweep"]))
+    n = draw(st.sampled_from([1, 2, 3, 4, 0]))
+    l = draw(st.sampled_from([1, 2, 3, 0]))
+    rows, cols = max(n, 1), max(l, 1)  # the shape of a matrix file
+    files = {}
+    if command == "simulate":
+        files["truth.txt"] = draw(_matrix_text(rows, cols))
+        # mostly counts and flips at which some trials, not all, fail
+        m_values = sorted(draw(st.lists(
+            st.sampled_from([5, 8, 13, 21, 40, 1, 2, 3, 0, -1]),
+            min_size=3, max_size=4, unique=True)))
+        argv = ["simulate", "--truth", "truth.txt",
+                *draw(_profile_flags(cols, st.floats(0.05, 0.45) | _FLIPS)),
+                # "=" keeps argparse from reading "-1,5" as an option
+                "--m-values=" + ",".join(map(str, m_values)),
+                "--trials", str(draw(st.sampled_from([200, 120, 60, 1, 0]))),
+                "--seed", str(draw(st.integers(-1, 2 ** 32)))]
+        if draw(st.booleans()):
+            argv += ["--max-matrices", str(draw(st.integers(-1, 100)))]
+    elif command == "construct":
+        kind = draw(st.sampled_from(["hamming-one", "even-almost",
+                                     "near-optimal"]))
+        argv = ["construct", "--kind", kind, "--n", str(n), "--l", str(l),
+                "--flip", repr(draw(_FLIPS)),
+                "--out-a", "a.txt", "--out-b", "b.txt"]
+    elif command == "ci":
+        files["a.txt"] = draw(_matrix_text(rows, cols))
+        files["b.txt"] = draw(_matrix_text(
+            rows, draw(st.sampled_from([cols, cols, cols, cols + 1]))))
+        argv = ["ci", "--a", "a.txt", "--b", "b.txt",
+                *draw(_profile_flags(cols))]
+    else:
+        argv = ["sweep", "--n", str(n), "--l", str(l),
+                "--f-min", repr(draw(_FLIPS)), "--f-max", repr(draw(_FLIPS)),
+                "--steps", str(draw(st.sampled_from([1, 2, 7, 50, 0, -1]))),
+                "--format", draw(st.sampled_from(["csv", "json"]))]
+    return argv, files
+
+
+class TestFileArgumentFuzz:
+    """The commands that read or write files answer or exit with their
+    typed error on every drawn call."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_file_argv())
+    def test_exit_codes(self, tmp_path, monkeypatch, capsys, drawn):
+        argv, files = drawn
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        assert bool(out) == (code == 0), (argv, err)
