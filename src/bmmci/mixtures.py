@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -23,6 +23,13 @@ MAX_COLS = 30
 # Largest array one call may build, in bytes: a family table or its rows
 # array; for one mixture vector, the arrays its call holds at once.
 _BUDGET_BYTES = 1 << 30
+# A table-sized computation runs over row chunks of about this many bytes,
+# so that its temporaries stay small beside the table.  With rows of 2**k
+# bytes every chunk starts at a multiple of a power of two; so cut, the
+# matrix-vector products over chunks matched one product over the table
+# bit for bit in every family tested (the BLAS kernels block rows by a
+# small power of two).
+_CHUNK_BYTES = 1 << 18
 
 NORMALIZATION_TOL = 1e-12
 
@@ -59,6 +66,13 @@ def check_budget(n_bytes: int, what: str) -> None:
         raise ResourceLimitError(
             f"{what} needs {decimal_text(n_bytes)} bytes, over the budget of "
             f"{_BUDGET_BYTES}")
+
+
+def row_chunks(n_rows: int, row_bytes: int) -> Iterator[slice]:
+    """Consecutive slices covering ``range(n_rows)``, ``_CHUNK_BYTES`` each
+    at ``row_bytes`` bytes a row (at least one row)."""
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
 def decimal_text(n: int) -> str:
@@ -231,14 +245,20 @@ def mixture_probs_table(rows_table: np.ndarray, kernel: np.ndarray) -> np.ndarra
 
     ``rows_table`` has one source per row (shape (M, N)); returns (M, 2**L).
     Row w of ``shifted`` is the kernel seen from word w, so each of the N
-    rows of every source is one row gather; no (M, N, 2**L) array is built.
+    rows of every source is one row gather.  The sum runs over row chunks of
+    the result, in place, so the call holds the result and one chunk's
+    gather; no (M, N, 2**L) array and no second table is built.
     """
     outcomes = np.arange(kernel.shape[0])
     shifted = kernel[outcomes[:, None] ^ outcomes]
-    total = shifted[rows_table[:, 0]]
-    for n in range(1, rows_table.shape[1]):
-        total += shifted[rows_table[:, n]]
-    return total / rows_table.shape[1]
+    table = np.empty((rows_table.shape[0], kernel.shape[0]))
+    for chunk in row_chunks(table.shape[0], kernel.nbytes):
+        total, rows = table[chunk], rows_table[chunk]
+        total[...] = shifted[rows[:, 0]]
+        for n in range(1, rows.shape[1]):
+            total += shifted[rows[:, n]]
+    table /= rows_table.shape[1]
+    return table
 
 
 @dataclass(frozen=True)

@@ -169,19 +169,29 @@ def _rival_ratios(probs: np.ndarray, truth_idx: int,
     ``-m * slack[i]`` is a tie or a win for that rival.  The scoring order
     is enumeration order, or ``order(nearness)``: positions into the rivals
     in enumeration order, given each one's ``log p_r · p_truth``.
+
+    The rivals' rows of ``probs`` are gathered once, in scoring order, and
+    turned into ratios in place, so beside the table the call holds one
+    ratio table and one row chunk's logs for the nearness.
     """
-    with np.errstate(divide="ignore"):
-        logs = np.log(probs)
     # Over each source's support only: a sentinel entry is met by zero
     # counts (exact) or decides the trial by far more than any slack.
     magnitude = 1.0 - np.log(np.min(probs, axis=1, where=probs > 0.0,
                                     initial=np.inf))
-    np.maximum(logs, _LOG_ZERO, out=logs)
+    p_truth = probs[truth_idx]
     rivals = np.delete(np.arange(probs.shape[0]), truth_idx)
-    if order is not None:
-        rivals = rivals[order((logs @ probs[truth_idx])[rivals])]
-    ratios = logs[rivals]
-    ratios -= logs[truth_idx]
+    with np.errstate(divide="ignore"):
+        if order is not None:
+            nearness = np.empty(probs.shape[0])
+            for chunk in mixtures.row_chunks(probs.shape[0], p_truth.nbytes):
+                nearness[chunk] = np.maximum(np.log(probs[chunk]),
+                                             _LOG_ZERO) @ p_truth
+            rivals = rivals[order(nearness[rivals])]
+        truth_logs = np.maximum(np.log(p_truth), _LOG_ZERO)
+        ratios = probs[rivals]
+        np.log(ratios, out=ratios)
+    np.maximum(ratios, _LOG_ZERO, out=ratios)
+    ratios -= truth_logs
     slack = magnitude[rivals] + magnitude[truth_idx]
     return ratios, _TIE_RTOL * slack
 

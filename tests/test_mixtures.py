@@ -127,17 +127,21 @@ class TestMixtureDistribution:
 
     def test_table_matches_gathered_sum(self):
         # the table adds one row at a time; gathering every (source, row,
-        # outcome) term and summing over rows must give the same bits
+        # outcome) term and summing over rows must give the same bits, in
+        # row chunks or not; 10,000 sources at L = 6 span several chunks,
+        # the last one short
         rng = np.random.default_rng(5)
-        for n_rows in range(1, 13):
-            for n_cols in range(1, 7):
-                rows = rng.integers(0, 1 << n_cols, size=(40, n_rows))
-                kernel = channel_kernel(FlipProfile(tuple(rng.random(n_cols))))
-                outcomes = np.arange(1 << n_cols)
-                gathered = kernel[rows[:, :, None] ^ outcomes[None, None, :]]
-                expected = gathered.sum(axis=1) / n_rows
-                assert np.array_equal(mixture_probs_table(rows, kernel),
-                                      expected)
+        shapes = [(40, n_rows, n_cols) for n_rows in range(1, 13)
+                  for n_cols in range(1, 7)] + [(10_000, 3, 6)]
+        assert 10_000 * 8 * 2**6 > 2 * bmmci.mixtures._CHUNK_BYTES
+        for n_sources, n_rows, n_cols in shapes:
+            rows = rng.integers(0, 1 << n_cols, size=(n_sources, n_rows))
+            kernel = channel_kernel(FlipProfile(tuple(rng.random(n_cols))))
+            outcomes = np.arange(1 << n_cols)
+            gathered = kernel[rows[:, :, None] ^ outcomes[None, None, :]]
+            expected = gathered.sum(axis=1) / n_rows
+            assert np.array_equal(mixture_probs_table(rows, kernel),
+                                  expected)
 
     @pytest.mark.parametrize("rows", [(0,), (0, 5, 5, 9)])
     def test_peak_within_charged_bytes(self, monkeypatch, rows):

@@ -164,6 +164,18 @@ class TestEnumeration:
             family_table(2, 2, profile, 10 ** 6)
         assert "320 bytes" in str(err.value)
 
+    def test_table_peak_within_table_multiple(self):
+        # the table is summed in place over row chunks: beside it the call
+        # holds the rows, the shifted kernels and one chunk's gather
+        profile = FlipProfile.constant(0.3, 6)
+        tracemalloc.start()
+        try:
+            _, probs = family_table(3, 6, profile, 10 ** 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * probs.nbytes
+
 
 class TestClosestPair:
     def test_low_noise_odd_case(self):

@@ -362,9 +362,30 @@ class TestErrorCounts:
                 assert simulate._error_counts(cfg, table) == reference, (
                     t, group, tile, workers)
 
+    @pytest.mark.parametrize("order", [None, simulate._nearest_groups_first])
+    def test_ratios_match_whole_table_logs(self, order):
+        # the nearness is summed over row chunks and the ratios are logged
+        # in place; both must keep the bits of the logs of the whole table
+        profile = FlipProfile.constant(0.3, 6)
+        _, probs = family_table(3, 6, profile, DEFAULT_MAX_MATRICES)
+        assert probs.nbytes > 2 * bmmci.mixtures._CHUNK_BYTES
+        with np.errstate(divide="ignore"):
+            logs = np.maximum(np.log(probs), simulate._LOG_ZERO)
+        magnitude = 1.0 - np.log(np.min(probs, axis=1, where=probs > 0.0,
+                                        initial=np.inf))
+        for t in (0, 12345, probs.shape[0] - 1):
+            rivals = np.delete(np.arange(probs.shape[0]), t)
+            if order is not None:
+                rivals = rivals[order((logs @ probs[t])[rivals])]
+            ratios, slack = simulate._rival_ratios(probs, t, order)
+            assert np.array_equal(ratios, logs[rivals] - logs[t])
+            assert np.array_equal(slack, simulate._TIE_RTOL
+                                  * (magnitude[rivals] + magnitude[t]))
+
     def test_peak_within_table_multiple(self):
-        # the ratios are gathered once, beside the logs they come from,
-        # and the logs are dropped before any trial is scored
+        # the rivals' rows are gathered once and turned into ratios in
+        # place: beside the table, scoring holds one ratio table, its
+        # group envelopes, the trial blocks and one span's product
         truth = canonicalize([0, 5, 9], 6)
         profile = FlipProfile.constant(0.3, 6)
         table = family_table(3, 6, profile, DEFAULT_MAX_MATRICES)
@@ -376,7 +397,7 @@ class TestErrorCounts:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * table[1].nbytes
+        assert peak <= 1.75 * table[1].nbytes
 
     def test_truth_outside_table(self):
         # the table holds 3-row, 2-column sources; the truth has 3 rows of 1
