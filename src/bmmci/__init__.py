@@ -59,6 +59,7 @@ from .reductions import (
     merge_columns,
     merged_flip,
     pair_ci,
+    pair_cis,
     quadruple_partition,
     reduction_lower_bound,
     regularity_degree,

@@ -43,7 +43,7 @@ from .oracle import (
     exact_error_exponent,
     family_table,
 )
-from .simulate import SimConfig, estimate_exponent
+from .simulate import SimConfig, estimate_exponent, rival_ratios
 
 SCHEMA_VERSION = 1
 _THREADS_HELP = "checked to be >= 1; results never depended on it"
@@ -273,8 +273,11 @@ def _cmd_simulate(args) -> dict:
                     trials=args.trials, seed=args.seed)
     table = family_table(truth.n_rows, truth.n_cols, profile,
                          args.max_matrices)
-    estimate = estimate_exponent(cfg, table=table)
     d_exact, nearest = exact_error_exponent(truth, profile, table=table)
+    rivals = rival_ratios(table, truth)
+    # scoring holds the ratio table, not the family table as well
+    del table
+    estimate = estimate_exponent(cfg, rivals=rivals)
     return {
         "truth": _matrix_lines(truth),
         "profile": profile.flips,

@@ -12,9 +12,11 @@ into a closed-form lower bound on the original Chernoff information.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
-from .chernoff import chernoff_info, two_point_ci
+import numpy as np
+
+from .chernoff import chernoff_info_batch, two_point_ci
 from .exceptions import ContractViolationError, InvalidInputError
 from .mixtures import (
     BinaryMatrix,
@@ -60,11 +62,32 @@ class MatrixPair:
         return self.a.n_cols
 
 
+def pair_cis(pairs: Iterable[MatrixPair]) -> np.ndarray:
+    """Chernoff information between each pair's channel-output mixtures.
+
+    The mixtures are built pair by pair, ``a`` before ``b``; the pairs are
+    then grouped by column count, one ``chernoff_info_batch`` call a group.
+    The solver searches each row on its own, so a value has the bits of its
+    pair solved alone.
+    """
+    mixtures = [(mixture_distribution(pair.a, pair.profile).probs,
+                 mixture_distribution(pair.b, pair.profile).probs)
+                for pair in pairs]
+    groups: dict[int, list[int]] = {}
+    for k, (p1, _) in enumerate(mixtures):
+        groups.setdefault(p1.size, []).append(k)
+    values = np.empty(len(mixtures))
+    with np.errstate(divide="ignore"):  # -inf is the solver's zero support
+        for ks in groups.values():
+            values[ks], _ = chernoff_info_batch(
+                np.log([mixtures[k][0] for k in ks]),
+                np.log([mixtures[k][1] for k in ks]))
+    return values
+
+
 def pair_ci(pair: MatrixPair) -> float:
     """Chernoff information between the two channel-output mixtures."""
-    p1 = mixture_distribution(pair.a, pair.profile)
-    p2 = mixture_distribution(pair.b, pair.profile)
-    return chernoff_info(p1, p2).value
+    return float(pair_cis([pair])[0])
 
 
 def epsilon_gap(flip: float, width: int, n_rows: int) -> float:

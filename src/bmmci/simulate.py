@@ -33,6 +33,11 @@ settled.  A trial that no group of a span leaves open beats the whole span
 unscored.  Trials settled within a span leave at its end, and the block is
 compacted only when some trial left.
 
+Scoring reads no family table.  ``rival_ratios`` takes from it the ratios
+in scoring order, their slack and a copy of the truth's row, and
+``estimate_exponent`` scores from those, so a caller that drops its table
+holds one table-sized array while the trials are scored.
+
 Sampling is most of the work when the family is small.  Each block of
 trials has its own substream, spawned in order on the calling thread, and
 is drawn on a thread pool (``Generator.multinomial`` runs without the
@@ -53,7 +58,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -211,6 +216,36 @@ def _nearest_groups_first(nearness: np.ndarray) -> np.ndarray:
                              kind="stable")].ravel()
 
 
+class RivalRatios(NamedTuple):
+    """What Monte Carlo scoring reads of a family table.
+
+    ``ratios`` and ``slack`` are what ``_rival_ratios`` returns for the
+    truth, in scoring order, and ``p_truth`` is a copy of the truth's row:
+    a view would keep the whole table alive.
+    """
+
+    ratios: np.ndarray
+    slack: np.ndarray
+    p_truth: np.ndarray
+
+
+def rival_ratios(table: tuple[np.ndarray, np.ndarray],
+                 truth: BinaryMatrix) -> RivalRatios:
+    """The rivals' ratio table against ``truth``, a source of ``table``.
+
+    Rivals that fit in one tile keep enumeration order: there is no later
+    tile to order or screen, and a padded short group would only widen the
+    one product.  More are taken nearest group first.  Raises
+    ``InvalidInputError`` when ``table`` does not hold the truth.  Nothing
+    returned refers to the table, so a caller that drops it frees it.
+    """
+    _, probs = table
+    truth_idx = family_index(table, truth)
+    order = _nearest_groups_first if probs.shape[0] - 1 > _RIVAL_TILE else None
+    ratios, slack = _rival_ratios(probs, truth_idx, order)
+    return RivalRatios(ratios, slack, probs[truth_idx].copy())
+
+
 def ml_decide(observations: Sequence[int], profile: FlipProfile,
               n_rows: int, n_cols: int, truth: BinaryMatrix,
               max_matrices: int = DEFAULT_MAX_MATRICES
@@ -297,21 +332,17 @@ def _drawn_blocks(p_truth: np.ndarray,
         pool.shutdown(cancel_futures=True)
 
 
-def _error_counts(cfg: SimConfig,
-                  table: tuple[np.ndarray, np.ndarray]) -> list[int]:
-    """Errors among ``cfg.trials`` simulated trials, one count per m."""
-    _, probs = table
-    truth_idx = family_index(table, cfg.truth)
-    if probs.shape[0] - 1 <= _RIVAL_TILE:
-        # one tile holds every rival: no later tile to order or screen, and
-        # a padded short group would only widen the one product
-        ratios, slack = _rival_ratios(probs, truth_idx)
-    else:
-        ratios, slack = _rival_ratios(probs, truth_idx,
-                                      _nearest_groups_first)
+def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
+    """Errors among ``cfg.trials`` simulated trials, one count per m.
+
+    ``rivals`` is ``rival_ratios`` of the truth's family table; the group
+    envelopes are built here, after the caller has let go of the table.
+    """
+    ratios, slack, p_truth = rivals
+    n_rivals = ratios.shape[0]
+    if n_rivals > _RIVAL_TILE:
         envelopes = ratios.reshape(-1, _GROUP, ratios.shape[1]).max(axis=1)
         envelope_slack = 2.0 * slack.reshape(-1, _GROUP).max(axis=1)
-    n_rivals = ratios.shape[0]
     n_blocks = (cfg.trials + _TRIAL_BLOCK - 1) // _TRIAL_BLOCK
     point_streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.m_values))
     jobs = ((point_stream.spawn(1)[0], m,
@@ -319,7 +350,7 @@ def _error_counts(cfg: SimConfig,
             for m, point_stream in zip(cfg.m_values, point_streams)
             for block in range(n_blocks))
     per_m = dict.fromkeys(cfg.m_values, 0)
-    with closing(_drawn_blocks(probs[truth_idx], jobs)) as blocks:
+    with closing(_drawn_blocks(p_truth, jobs)) as blocks:
         for m, counts in blocks:
             # with m == 0 every count is 0, so every rival ties: all errors
             counts = counts.astype(float)
@@ -388,18 +419,20 @@ def fit_exponent(points: Sequence[tuple[int, float, int]]
 
 def estimate_exponent(cfg: SimConfig,
                       max_matrices: int = DEFAULT_MAX_MATRICES,
-                      table: tuple[np.ndarray, np.ndarray] | None = None
-                      ) -> ExponentEstimate:
+                      rivals: RivalRatios | None = None) -> ExponentEstimate:
     """Simulate the error rate per sample count and fit the decay exponent.
 
-    ``table`` is the truth's ``family_table`` under ``cfg.profile``, for a
-    caller that already built it; otherwise it is built here.
+    ``rivals`` is ``rival_ratios`` of the truth's ``family_table`` under
+    ``cfg.profile``, for a caller that built the table for more than this
+    call; otherwise the table is built here and let go of before any trial
+    is scored.
     """
-    if table is None:
-        table = family_table(cfg.truth.n_rows, cfg.truth.n_cols, cfg.profile,
-                             max_matrices)
+    if rivals is None:
+        rivals = rival_ratios(
+            family_table(cfg.truth.n_rows, cfg.truth.n_cols, cfg.profile,
+                         max_matrices), cfg.truth)
     per_m = [(m, errors / cfg.trials, wilson_interval(errors, cfg.trials))
-             for m, errors in zip(cfg.m_values, _error_counts(cfg, table))]
+             for m, errors in zip(cfg.m_values, _error_counts(cfg, rivals))]
     slope, interval = fit_exponent(
         [(m, rate, cfg.trials) for m, rate, _ in per_m]
     )

@@ -280,6 +280,12 @@ class TestReportBytes:
         "simulate.json": ("simulate", "--truth", "truth.txt", "--flip", "0.3",
                           "--m-values", "5,15,25", "--trials", "500",
                           "--seed", "9"),
+        # the benchmark's 3x6 call: its 45,759 rivals reach the screened
+        # tiles past the first
+        "simulate_exponent.json": ("simulate", "--truth", "truth36.txt",
+                                   "--flip", "0.2", "--m-values",
+                                   "10,20,30,40", "--trials", "4096",
+                                   "--seed", "1"),
         "verify.json": ("verify", "--n", "4", "--l", "2", "--flip", "0.1"),
     }
 
@@ -289,6 +295,7 @@ class TestReportBytes:
         write_matrix(tmp_path / "a.txt", [0, 1, 3], 2)
         write_matrix(tmp_path / "b.txt", [0, 2, 3], 2)
         write_matrix(tmp_path / "truth.txt", [0, 1, 1], 1)
+        (tmp_path / "truth36.txt").write_text("000000\n101000\n100100\n")
 
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_report(self, tmp_path, capsys, name):

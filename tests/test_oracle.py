@@ -448,6 +448,20 @@ class TestExactErrorExponent:
             exact_error_exponent(canonicalize([0, 1], 1),
                                  FlipProfile.constant(0.1, 2))
 
+    def test_peak_above_table_multiple(self):
+        # beside the caller's table the search holds its square roots; in
+        # simulate this phase shares the command's peak
+        profile = FlipProfile.constant(0.2, 6)
+        truth = parse_matrix_text("000000\n101000\n100100\n")
+        table = family_table(3, 6, profile, 10 ** 6)
+        tracemalloc.start()
+        try:
+            exact_error_exponent(truth, profile, table=table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * table[1].nbytes
+
     @pytest.mark.parametrize("n,l", [(3, 1), (2, 2)])
     def test_truth_outside_table(self, n, l):
         # a table of 2-row, 1-column sources holds neither truth

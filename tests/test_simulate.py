@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from fractions import Fraction
@@ -24,6 +25,7 @@ from bmmci import (
     sample_observations,
     wilson_interval,
 )
+import bmmci.cli
 import bmmci.mixtures
 from bmmci import simulate
 from bmmci.oracle import DEFAULT_MAX_MATRICES, family_source, family_table
@@ -40,7 +42,7 @@ def error_counts(truth, profile, m_values, trials, seed):
                     trials=trials, seed=seed)
     table = family_table(truth.n_rows, truth.n_cols, profile,
                          DEFAULT_MAX_MATRICES)
-    return simulate._error_counts(cfg, table)
+    return simulate._error_counts(cfg, simulate.rival_ratios(table, truth))
 
 
 def reference_error_counts(cfg, table):
@@ -305,7 +307,8 @@ class TestErrorCounts:
         reference = reference_error_counts(cfg, table)
         for workers in WORKER_COUNTS:
             monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
-            assert simulate._error_counts(cfg, table) == reference, workers
+            assert simulate._error_counts(
+                cfg, simulate.rival_ratios(table, truth)) == reference, workers
 
     def test_peak_within_blocks_ahead_of_serial_peak(self, monkeypatch):
         # 1,024 outcomes, so a block of 4,096 trials is 32 MiB; with two
@@ -322,7 +325,7 @@ class TestErrorCounts:
         serial_peak = 76_956_577
         tracemalloc.start()
         try:
-            simulate._error_counts(cfg, table)
+            simulate._error_counts(cfg, simulate.rival_ratios(table, truth))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -337,7 +340,7 @@ class TestErrorCounts:
                         trials=4096, seed=0)
         tracemalloc.start()
         try:
-            simulate._error_counts(cfg, table)
+            simulate._error_counts(cfg, simulate.rival_ratios(table, truth))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -359,8 +362,9 @@ class TestErrorCounts:
                 monkeypatch.setattr(simulate, "_GROUP", group)
                 monkeypatch.setattr(simulate, "_RIVAL_TILE", tile)
                 monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
-                assert simulate._error_counts(cfg, table) == reference, (
-                    t, group, tile, workers)
+                assert simulate._error_counts(
+                    cfg, simulate.rival_ratios(table, cfg.truth)
+                ) == reference, (t, group, tile, workers)
 
     @pytest.mark.parametrize("order", [None, simulate._nearest_groups_first])
     def test_ratios_match_whole_table_logs(self, order):
@@ -393,7 +397,7 @@ class TestErrorCounts:
                         trials=4096, seed=0)
         tracemalloc.start()
         try:
-            simulate._error_counts(cfg, table)
+            simulate._error_counts(cfg, simulate.rival_ratios(table, truth))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -406,7 +410,73 @@ class TestErrorCounts:
         table = family_table(3, 2, FlipProfile.constant(0.1, 2),
                              DEFAULT_MAX_MATRICES)
         with pytest.raises(InvalidInputError):
-            simulate._error_counts(cfg, table)
+            simulate.rival_ratios(table, cfg.truth)
+
+
+class TestCommandMemory:
+    """The ``simulate`` command holds one table-sized array at a time."""
+
+    ARGV = ["simulate", "--truth", "truth.txt", "--flip", "0.2",
+            "--m-values", "10,20,30,40", "--trials", "4096", "--seed", "1"]
+    # the benchmark's 3x6 truth: 45,760 sources of 64 outcomes
+    TABLE_BYTES = 45760 * 64 * 8
+
+    @pytest.fixture(autouse=True)
+    def truth_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "truth.txt").write_text("000000\n101000\n100100\n")
+
+    @staticmethod
+    def watch_table(monkeypatch, module):
+        """Patch ``module.family_table`` and ``simulate._drawn_blocks``.
+
+        Returns a list that gets, as each block is scored, whether the
+        probabilities of any table built so far are still alive.
+        """
+        build, draw = module.family_table, simulate._drawn_blocks
+        refs, alive = [], []
+
+        def family_table(*args):
+            table = build(*args)
+            refs.append(weakref.ref(table[1]))
+            return table
+
+        def drawn_blocks(p_truth, jobs):
+            with closing(draw(p_truth, jobs)) as blocks:
+                for block in blocks:
+                    alive.append(any(ref() is not None for ref in refs))
+                    yield block
+
+        monkeypatch.setattr(module, "family_table", family_table)
+        monkeypatch.setattr(simulate, "_drawn_blocks", drawn_blocks)
+        return alive
+
+    def test_peak_within_table_multiple(self, monkeypatch, capsys):
+        # the exact exponent holds the table and its square roots, then
+        # the ratios are built beside the table; scoring holds the ratio
+        # table, its envelopes, two workers' blocks and one span's product
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            code = bmmci.cli.main(self.ARGV)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 2.25 * self.TABLE_BYTES
+
+    def test_command_lets_go_of_table(self, monkeypatch, capsys):
+        alive = self.watch_table(monkeypatch, bmmci.cli)
+        assert bmmci.cli.main(self.ARGV) == 0
+        assert len(alive) == 4 and not any(alive)
+
+    def test_estimate_lets_go_of_its_table(self, monkeypatch):
+        alive = self.watch_table(monkeypatch, simulate)
+        cfg = SimConfig(truth=parse_matrix_text("000000\n101000\n100100\n"),
+                        profile=FlipProfile.constant(0.2, 6),
+                        m_values=(10, 20, 30, 40), trials=4096, seed=1)
+        estimate_exponent(cfg)
+        assert len(alive) == 4 and not any(alive)
 
 
 def draw_jobs(count, taken=None):
