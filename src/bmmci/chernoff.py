@@ -8,7 +8,7 @@ finds the minimizer reliably.  ``chernoff_info_batch`` is the one solver;
 solver: its closed-form upper bound only sets the oracle's pruning
 threshold.
 
-Zero probabilities enter as ``-inf`` log-probabilities.  Only the common
+The solver takes probabilities, a zero logged as ``-inf``.  Only the common
 support contributes to ``f_lambda``: inside (0, 1) a term with a zero on
 either side vanishes.  At the endpoints ``f_lambda`` is the one-sided limit,
 ``f_0 = sum over {x : p1(x) > 0} of p2(x)`` and symmetrically for ``f_1``,
@@ -74,14 +74,16 @@ def _logsumexp(t: np.ndarray) -> np.ndarray:
     return tmax[:, 0] + np.log(np.exp(t - tmax).sum(axis=1))
 
 
-def chernoff_info_batch(logp1: np.ndarray, logp2: np.ndarray
+def chernoff_info_batch(p1: np.ndarray, p2: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Chernoff information for many pairs of distributions at once.
 
-    Inputs are log-probability arrays of shape (B, K), ``-inf`` where a
-    probability is zero.  Returns ``(values, lambda_stars)``; identical
-    pairs and pairs with disjoint supports report lambda 0.5.
+    Inputs are probability arrays of shape (B, K).  Returns ``(values,
+    lambda_stars)``; identical pairs and pairs with disjoint supports report
+    lambda 0.5.
     """
+    with np.errstate(divide="ignore"):  # -inf stands for a zero
+        logp1, logp2 = np.log(p1), np.log(p2)
     identical = np.all(logp1 == logp2, axis=1)
     values = np.where(identical, 0.0, math.inf)
     lams = np.full(identical.size, 0.5)
@@ -178,9 +180,7 @@ def f_lambda(p1, p2, lam: float) -> float:
 def chernoff_info(p1, p2) -> ChernoffResult:
     """Chernoff information between two distributions on the same outcome set."""
     a1, a2 = _as_prob_pair(p1, p2)
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.stack([a1, a2]))
-    values, lams = chernoff_info_batch(logs[:1], logs[1:])
+    values, lams = chernoff_info_batch(a1[None], a2[None])
     value = float(values[0])
     # Disjoint supports are the only infinite case.
     settled = math.isinf(value) or np.array_equal(a1, a2)

@@ -229,21 +229,18 @@ def _solve(probs, codes, best) -> tuple[tuple, np.ndarray]:
     the codes increase, and row i is the solver's ``p1``.  Returns the
     smallest key ``(value, i, j, lambda_star)`` and the codes solved, a
     prefix of ``codes``: once the key has value 0 and comes before the next
-    pair, no later pair can beat it.  Logs are taken of the gathered rows
-    only; an elementwise log gives the same bits either way.
+    pair, no later pair can beat it.
     """
     done = 0
-    with np.errstate(divide="ignore"):  # -inf is the solver's zero support
-        for at in range(0, codes.size, _SOLVE_PAIRS):
-            i, j = np.divmod(codes[at:at + _SOLVE_PAIRS], probs.shape[0])
-            if best[:3] < (0.0, i[0], j[0]):
-                break
-            part, lams = chernoff_info_batch(np.log(probs[i]),
-                                             np.log(probs[j]))
-            k = np.lexsort((j, i, part))[0]
-            best = min(best, (float(part[k]), int(i[k]), int(j[k]),
-                              float(lams[k])))
-            done = at + i.size
+    for at in range(0, codes.size, _SOLVE_PAIRS):
+        i, j = np.divmod(codes[at:at + _SOLVE_PAIRS], probs.shape[0])
+        if best[:3] < (0.0, i[0], j[0]):
+            break
+        part, lams = chernoff_info_batch(probs[i], probs[j])
+        k = np.lexsort((j, i, part))[0]
+        best = min(best, (float(part[k]), int(i[k]), int(j[k]),
+                          float(lams[k])))
+        done = at + i.size
     return best, codes[:done]
 
 
@@ -304,6 +301,8 @@ def _min_pair(probs, row_blocks,
     bound = float(tangent_bound(probs[top // n], probs[top % n]).min(
         initial=best[0]))
     codes = between(tiles, tops, math.exp(-(bound + PRUNE_MARGIN)), zero_cut)
+    # no coefficient pass is left: free the square roots before the solve
+    sqrt_probs = None
     codes = np.sort(np.concatenate(
         (codes, images(np.concatenate(solved + [codes])))))
     best, codes = _solve(probs, codes, best)

@@ -77,11 +77,10 @@ def pair_cis(pairs: Iterable[MatrixPair]) -> np.ndarray:
     for k, (p1, _) in enumerate(mixtures):
         groups.setdefault(p1.size, []).append(k)
     values = np.empty(len(mixtures))
-    with np.errstate(divide="ignore"):  # -inf is the solver's zero support
-        for ks in groups.values():
-            values[ks], _ = chernoff_info_batch(
-                np.log([mixtures[k][0] for k in ks]),
-                np.log([mixtures[k][1] for k in ks]))
+    for ks in groups.values():
+        values[ks], _ = chernoff_info_batch(
+            np.array([mixtures[k][0] for k in ks]),
+            np.array([mixtures[k][1] for k in ks]))
     return values
 
 

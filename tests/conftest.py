@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bmmci import BinaryMatrix, FlipProfile, MatrixPair
+from bmmci.chernoff import chernoff_info_batch
 
 _acceptance_results = []
 
@@ -27,6 +28,13 @@ def random_distribution(rng: np.random.Generator, size: int) -> np.ndarray:
     """Strictly positive probability vector."""
     raw = rng.random(size) + 1e-3
     return raw / raw.sum()
+
+
+def bernoulli_cis(p, q) -> np.ndarray:
+    """``bernoulli_ci`` of each pair of parameters, in one solver call."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    return chernoff_info_batch(np.column_stack([1 - p, p]),
+                               np.column_stack([1 - q, q]))[0]
 
 
 def random_unequal_pair(rng: np.random.Generator, n_rows: int, n_cols: int,

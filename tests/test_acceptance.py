@@ -38,7 +38,7 @@ from bmmci import (
 )
 from bmmci.cli import main as cli_main
 from bmmci.oracle import enumerate_matrices
-from conftest import random_unequal_pair
+from conftest import bernoulli_cis, random_unequal_pair
 
 TOL = 1e-9
 
@@ -210,12 +210,9 @@ def test_06_reduction_properties():
 
 
 def test_07_two_point_family_minimum():
-    from bmmci import bernoulli_ci
-    from bmmci.chernoff import chernoff_info_batch
-
     for eps in (0.1, 0.3, 0.5):
-        grid = [i / 1000 for i in range(int(round((1 - eps) * 1000)) + 1)]
-        values = [bernoulli_ci(p, p + eps) for p in grid]
+        grid = np.arange(int(round((1 - eps) * 1000)) + 1) / 1000
+        values = bernoulli_cis(grid, grid + eps)
         best = min(range(len(grid)), key=values.__getitem__)
         assert abs(grid[best] - (1 - eps) / 2) <= 1e-3 + 1e-12
         assert min(values) == pytest.approx(symmetric_ci(eps), abs=TOL)
@@ -225,10 +222,7 @@ def test_07_two_point_family_minimum():
         floor = symmetric_ci(eps)
         p = rng.uniform(1e-9, 1 - eps - 2e-9, size=10_000)
         q = p + eps + rng.random(10_000) * (1 - 1e-9 - (p + eps))
-        logs1 = np.log(np.column_stack([1 - p, p]))
-        logs2 = np.log(np.column_stack([1 - q, q]))
-        values, _ = chernoff_info_batch(logs1, logs2)
-        assert values.min() >= floor - 1e-12
+        assert bernoulli_cis(p, q).min() >= floor - 1e-12
 
 
 def test_08_criticality_characterization_exhaustive():

@@ -17,12 +17,7 @@ from bmmci import (
 )
 from bmmci.chernoff import (STEPS, chernoff_info_batch, tangent_bound,
                             two_point_ci)
-from conftest import random_distribution
-
-
-def _logs(rows):
-    with np.errstate(divide="ignore"):
-        return np.log(np.asarray(rows, dtype=float))
+from conftest import bernoulli_cis, random_distribution
 
 
 @st.composite
@@ -161,14 +156,14 @@ class TestChernoffInfo:
 
 class TestChernoffInfoBatch:
     def test_disjoint_rows_are_infinite(self):
-        values, lams = chernoff_info_batch(_logs([[1.0, 0.0], [0.5, 0.5]]),
-                                           _logs([[0.0, 1.0], [0.5, 0.5]]))
+        values, lams = chernoff_info_batch(np.array([[1.0, 0.0], [0.5, 0.5]]),
+                                           np.array([[0.0, 1.0], [0.5, 0.5]]))
         assert math.isinf(values[0]) and lams[0] == 0.5
         assert values[1] == 0.0 and lams[1] == 0.5
 
     def test_endpoint_limit_is_exact(self):
-        values, lams = chernoff_info_batch(_logs([[1.0, 0.0]]),
-                                           _logs([[0.75, 0.25]]))
+        values, lams = chernoff_info_batch(np.array([[1.0, 0.0]]),
+                                           np.array([[0.75, 0.25]]))
         assert values[0] == -math.log(0.75)
         assert lams[0] == 0.0
 
@@ -180,11 +175,10 @@ class TestChernoffInfoBatch:
         p2[[1, 4]] = p1[[1, 4]]
         p2[2, :3] = 0.0
         p2[2] /= p2[2].sum()
-        values, lams = chernoff_info_batch(_logs(p1), _logs(p2))
+        values, lams = chernoff_info_batch(p1, p2)
         assert values[1] == values[4] == 0.0
         for row in range(6):
-            alone = chernoff_info_batch(_logs(p1[row:row + 1]),
-                                        _logs(p2[row:row + 1]))
+            alone = chernoff_info_batch(p1[row:row + 1], p2[row:row + 1])
             assert (values[row], lams[row]) == (alone[0][0], alone[1][0])
 
     @settings(max_examples=200, deadline=None)
@@ -192,7 +186,7 @@ class TestChernoffInfoBatch:
     def test_agrees_with_scalar_on_zero_support(self, pair):
         p1, p2 = pair
         assume((p1 == 0.0).any() or (p2 == 0.0).any())
-        values, lams = chernoff_info_batch(_logs(p1), _logs(p2))
+        values, lams = chernoff_info_batch(p1, p2)
         for row in range(p1.shape[0]):
             res = chernoff_info(p1[row], p2[row])
             assert (values[row] == 0.0) == (res.value == 0.0)
@@ -295,7 +289,7 @@ class TestTangentBound:
         p2[:, -1] += (p2.sum(axis=1) == 0.0)
         p1 /= p1.sum(axis=1, keepdims=True)
         p2 /= p2.sum(axis=1, keepdims=True)
-        values, _ = chernoff_info_batch(_logs(p1), _logs(p2))
+        values, _ = chernoff_info_batch(p1, p2)
         bound = tangent_bound(p1, p2)
         # where log f_lambda is linear (one common outcome) the tangent is
         # the function itself, and the two formulas agree to rounding only:
@@ -320,8 +314,8 @@ class TestTangentBound:
 class TestBernoulliFamilyMinimum:
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5])
     def test_grid_minimum_at_symmetric_center(self, eps):
-        grid = [i / 1000 for i in range(int(round((1 - eps) * 1000)) + 1)]
-        values = [bernoulli_ci(p, p + eps) for p in grid]
+        grid = np.arange(int(round((1 - eps) * 1000)) + 1) / 1000
+        values = bernoulli_cis(grid, grid + eps)
         best = min(range(len(grid)), key=values.__getitem__)
         assert abs(grid[best] - (1 - eps) / 2) <= 1e-3 + 1e-12
         assert min(values) == pytest.approx(symmetric_ci(eps), abs=1e-9)
@@ -329,7 +323,8 @@ class TestBernoulliFamilyMinimum:
     def test_random_pairs_never_beat_symmetric_value(self, rng):
         eps = 0.2
         floor = symmetric_ci(eps)
-        for _ in range(2000):
-            p = rng.uniform(1e-9, 1 - eps - 2e-9)
-            q = rng.uniform(p + eps, 1 - 1e-9)
-            assert bernoulli_ci(p, q) >= floor - 1e-12
+        p, q = np.empty(2000), np.empty(2000)
+        for k in range(2000):
+            p[k] = rng.uniform(1e-9, 1 - eps - 2e-9)
+            q[k] = rng.uniform(p[k] + eps, 1 - 1e-9)
+        assert (bernoulli_cis(p, q) >= floor - 1e-12).all()

@@ -353,6 +353,18 @@ class TestConstructCommand:
         assert json.loads(out)["value_nats"] == pytest.approx(predicted,
                                                               abs=1e-9)
 
+    def test_control_characters_in_paths(self, tmp_path, capsys):
+        # the report stays valid JSON; other characters go out unescaped
+        out_a = str(tmp_path / "a\tbé.txt")
+        out_b = str(tmp_path / "c\nd.txt")
+        code, out, _ = run_cli(capsys, "construct", "--kind", "hamming-one",
+                               "--n", "3", "--l", "2", "--flip", "0.1",
+                               "--out-a", out_a, "--out-b", out_b)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["file_a"], report["file_b"]) == (out_a, out_b)
+        assert "bé.txt" in out
+
     def test_even_rows_rejected_for_odd_kind(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "construct", "--kind", "hamming-one",
                                "--n", "4", "--l", "2", "--flip", "0.1",
