@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,6 +75,16 @@ def row_chunks(n_rows: int, row_bytes: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
+def check_words(words: Sequence[int], n_cols: int, what: str) -> None:
+    """Refuse words that are not integers in [0, 2**n_cols), naming the smallest."""
+    if not all(issubclass(t, (int, np.integer)) for t in set(map(type, words))):
+        raise InvalidInputError(f"{what}s must be integers")
+    if words and (min(words) < 0 or max(words) >> n_cols):
+        word = min(w for w in words if w < 0 or w >> n_cols)
+        raise InvalidInputError(
+            f"{what} {decimal_text(word)} does not fit in {n_cols} bits")
+
+
 def decimal_text(n: int) -> str:
     """``str(n)``, or a lower bound on ``n`` past the digits Python converts
     (``sys.get_int_max_str_digits``)."""
@@ -94,9 +104,10 @@ class BinaryMatrix:
     """Canonical multiset of binary rows; equal iff row multisets are equal.
 
     Rows are sorted ascending on construction, so permuting the input rows
-    yields the identical object.  ``n_rows == 0`` is permitted only so that
-    row-reduction results can be represented; sources fed to the channel
-    must have at least one row.
+    yields the identical object; bad rows (``check_words``) or a bad column
+    count (``check_cols``) raise ``InvalidInputError``.  ``n_rows == 0`` is
+    permitted only so that row-reduction results can be represented; sources
+    fed to the channel must have at least one row.
     """
 
     rows: tuple[int, ...]
@@ -104,13 +115,9 @@ class BinaryMatrix:
 
     def __post_init__(self) -> None:
         check_cols(self.n_cols)
-        rows = tuple(sorted(self.rows))
-        for word in rows:
-            if word < 0 or word >> self.n_cols:
-                raise InvalidInputError(
-                    f"row {word!r} does not fit in {self.n_cols} bits"
-                )
-        object.__setattr__(self, "rows", rows)
+        rows = tuple(self.rows)
+        check_words(rows, self.n_cols, "row")
+        object.__setattr__(self, "rows", tuple(sorted(rows)))
 
     @property
     def n_rows(self) -> int:
@@ -294,38 +301,28 @@ def delta_reduce(a: BinaryMatrix, b: BinaryMatrix) -> DeltaResult:
 
 def format_matrix_text(m: BinaryMatrix) -> str:
     """One row per line, characters '0'/'1', column ``l`` at position ``l``."""
-    lines = [
-        "".join("1" if (r >> l) & 1 else "0" for l in range(m.n_cols))
-        for r in m.rows
-    ]
-    return "\n".join(lines) + "\n"
+    width = f"0{m.n_cols}b"
+    return "\n".join(format(r, width)[::-1] for r in m.rows) + "\n"
 
 
 def parse_matrix_text(text: str) -> BinaryMatrix:
     """Parse the matrix text format; a blank line terminates the matrix."""
     rows = []
-    n_cols = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             break
         if set(line) - {"0", "1"}:
             raise InvalidInputError(f"line {lineno}: invalid characters in {line!r}")
-        if n_cols is None:
+        if not rows:
             n_cols = len(line)
             if n_cols > MAX_COLS:
                 raise InvalidInputError(
-                    f"line {lineno}: {n_cols} columns exceeds limit {MAX_COLS}"
-                )
+                    f"line {lineno}: {n_cols} columns exceeds limit {MAX_COLS}")
         elif len(line) != n_cols:
             raise InvalidInputError(
-                f"line {lineno}: ragged row of length {len(line)}, expected {n_cols}"
-            )
-        word = 0
-        for pos, ch in enumerate(line):
-            if ch == "1":
-                word |= 1 << pos
-        rows.append(word)
+                f"line {lineno}: ragged row of length {len(line)}, expected {n_cols}")
+        rows.append(int(line[::-1], 2))
     if not rows:
         raise InvalidInputError("matrix text contains no rows")
     return BinaryMatrix(tuple(rows), n_cols)

@@ -255,14 +255,15 @@ def ml_decide(observations: Sequence[int], profile: FlipProfile,
     Returns the argmax (ties resolved toward the lexicographically first
     candidate) and whether the truth's log likelihood strictly beat every
     rival; with zero observations all likelihoods tie and the flag is False.
+    A bad word (``check_words``) or truth shape raises ``InvalidInputError``.
     """
     if truth.n_rows != n_rows or truth.n_cols != n_cols:
         raise InvalidInputError("truth matrix shape disagrees with (N, L)")
+    observed = list(observations)
+    mixtures.check_words(observed, n_cols, "observation word")
     table = family_table(n_rows, n_cols, profile, max_matrices)
     rows, probs = table
-    words = np.asarray(list(observations), dtype=np.int64)
-    if words.size and (words.min() < 0 or words.max() >> n_cols):
-        raise InvalidInputError("observation word outside the outcome space")
+    words = np.asarray(observed, dtype=np.int64)
     counts = np.bincount(words, minlength=1 << n_cols).astype(float)
     truth_idx = family_index(table, truth)
     ratios, slack = _rival_ratios(probs, truth_idx)

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmmci import (
+    BinaryMatrix,
     FlipProfile,
     InvalidInputError,
     MixtureDistribution,
@@ -49,6 +51,26 @@ class TestCanonicalize:
             canonicalize([4], 2)
         with pytest.raises(InvalidInputError):
             canonicalize([-1], 2)
+
+    def test_rejects_non_integer_rows(self):
+        with pytest.raises(InvalidInputError, match="rows must be integers"):
+            BinaryMatrix((1.5,), 2)
+        with pytest.raises(InvalidInputError, match="rows must be integers"):
+            canonicalize([1, "1"], 2)
+
+    @pytest.mark.parametrize("rows,named", [((9, 4, 5), 4), ((-3, 9), -3)])
+    def test_names_smallest_row_out_of_range(self, rows, named):
+        with pytest.raises(InvalidInputError,
+                           match=f"^row {named} does not fit in 2 bits$"):
+            BinaryMatrix(rows, 2)
+
+    def test_names_huge_row_by_a_bound(self):
+        # str() of a 5,000-digit int raises ValueError; the message gives a
+        # lower bound instead
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(InvalidInputError,
+                           match=rf"^row at least 10\*\*{limit} does not fit"):
+            BinaryMatrix((0, 10**4999), 3)
 
     def test_rejects_bad_width(self):
         with pytest.raises(InvalidInputError):
@@ -249,6 +271,20 @@ class TestMatrixText:
     def test_rejects_empty(self):
         with pytest.raises(InvalidInputError):
             parse_matrix_text("\n")
+
+    @given(st.data())
+    def test_matches_per_bit_reference(self, data):
+        n_cols = data.draw(st.integers(1, 30))
+        word = st.integers(0, (1 << n_cols) - 1)
+        rows = data.draw(st.lists(
+            st.one_of(word, st.booleans(), word.map(np.int64),
+                      word.map(np.uint32)), min_size=1, max_size=8))
+        m = BinaryMatrix(tuple(rows), n_cols)
+        reference = "".join(
+            "".join("1" if (r >> l) & 1 else "0" for l in range(n_cols)) + "\n"
+            for r in sorted(rows))
+        assert format_matrix_text(m) == reference
+        assert parse_matrix_text(reference) == m
 
     @settings(max_examples=300)
     @given(st.one_of(st.text(), st.text(alphabet="01\n\r\t \x0bx", max_size=80)))

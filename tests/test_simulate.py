@@ -188,6 +188,13 @@ class TestMlDecide:
         with pytest.raises(InvalidInputError):
             ml_decide([0], PROFILE, 2, 1, TRUTH)
 
+    @pytest.mark.parametrize("word", [2**64, 1.5, "1", -1, 2])
+    def test_refuses_bad_observation_words(self, word):
+        # checked before the int64 cast, which overflows on 2**64 and turns
+        # 1.5 and '1' into word 1
+        with pytest.raises(InvalidInputError, match="observation word"):
+            ml_decide([word], PROFILE, 3, 1, TRUTH)
+
     @pytest.mark.parametrize("flips", [(0.1,), (0.1, 0.1, 0.1)])
     def test_profile_length_validation(self, flips):
         # refused as a profile error before the table is built, not as an
@@ -292,11 +299,11 @@ class TestErrorCounts:
 
     @pytest.mark.parametrize("truth_text,f,m_values,trials", [
         ("000000\n101000\n100100\n", 0.2, (10, 20, 30, 40), 4096),
-        ("0\n1\n1\n", 0.1, (20, 40, 60, 80, 100, 120), 400_000),
+        ("0\n1\n1\n", 0.1, (20, 40, 60, 80, 100, 120), 40_000),
     ], ids=["exponent", "tail"])
     def test_worker_count_does_not_change_bench_counts(
             self, monkeypatch, truth_text, f, m_values, trials):
-        # blocks of 300 give 14 and 1,334 blocks per m, the last one short
+        # blocks of 300 give 14 and 134 blocks per m, the last one short
         monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 300)
         truth = parse_matrix_text(truth_text)
         profile = FlipProfile.constant(f, truth.n_cols)
