@@ -20,23 +20,48 @@ error exactly when some rival ties or beats the truth, the order cannot
 change the counts (rivals that fit in one tile keep enumeration order).
 Every product is rival-major, (rivals, trials), so "some rival reaches its
 threshold" ORs whole rows of trials together.  The first tile is scored
-directly.  Past it, most trials are won by the truth, and a whole group is
-cleared at once by its envelope, the outcome-wise largest ratio over its
-members: counts are nonnegative, so ``counts · envelope`` bounds every
-member's score from above, and a trial whose envelope score is below twice
-the group's largest tie threshold beats every member.  The margin covers
-the rounding of both products; a sentinel entry can only lower the envelope
-score, and every member's score with it.  The envelopes are scored a span
-of groups at a time, in one product; then each tile of the span scores only
-the trials that its groups leave open and that no earlier tile of the span
-settled.  A trial that no group of a span leaves open beats the whole span
-unscored.  Trials settled within a span leave at its end, and the block is
-compacted only when some trial left.
+directly, in float64.
 
-Scoring reads no family table.  ``rival_ratios`` takes from it the ratios
-in scoring order, their slack and a copy of the truth's row, and
-``estimate_exponent`` scores from those, so a caller that drops its table
-holds one table-sized array while the trials are scored.
+Past it, most trials are won by the truth, and they are cleared by float32
+screens whose rounding is certified.  A rival's screen row is its ratio row
+clipped from below at ``-B_r``, where
+``B_r = magnitude_r + magnitude_truth`` is the scale of its tie slack: on
+the truth's support every ratio entry lies within ``±B_r``, and off it the
+counts are 0 but for the stray ones below.  By the dot-product rounding
+bound (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+2002, §3.1), a float32 score over K = 2**L outcomes, counts and entries
+rounded to float32 as well, lies within ``m * B * lambda_K`` of the exact
+clipped score, in any summation order, with or without FMA, where
+``lambda_K = (1+u)**2 * gamma_K + 2u + u**2``, ``u = 2**-24`` and
+``gamma_K = K*u / (1 - K*u)``; clipping only raises a score.  So a (rival,
+trial) pair whose screen score is below ``thr - 2m * B_r * lambda_K``, with
+``thr = -m * slack_r``, has a float64 score below ``thr`` too: the float64
+rounding is far inside the second ``m * B_r * lambda_K``, as is float32
+underflow.  A group of rivals is cleared at once by its envelope, the
+outcome-wise largest screen row of its members: counts are nonnegative, so
+``counts · envelope`` bounds every member's clipped score; a group's
+threshold is ``-2m`` times its largest slack and its scale its largest
+``B_r``.  A tie scores 0 within rounding, above every threshold, so no
+screen clears it, nor a rival that beats the truth.  The sampler gives its
+last outcome what the others leave of m, which at m near 10**17 can be a
+count where the truth's probability is 0; every screen entry there is
+``_OFF_SUPPORT``, so no screen clears a trial holding one.
+
+The envelopes are scored a span of groups at a time, in one product; then
+each tile of the span screens only the trials that its groups leave open
+and that no earlier tile of the span settled.  The pairs a tile's screen
+cannot clear are scored in float64 against the tile's ratio rows, made
+again from those rivals' sources by ``mixture_probs_table``, bit for bit
+the table's, so every decision is the float64 one.  A trial that no group
+of a span leaves open beats the whole span unscored.  Trials settled
+within a span leave at its end, and the block is compacted only when some
+trial left.
+
+Scoring reads no family table.  ``rival_ratios`` takes from it, in one pass
+over the rivals in scoring order, the first tile's float64 ratio rows, the
+float32 screen rows and group envelopes, each rival's ``B_r`` and source
+rows, and the truth's row and logs, so a caller that drops its table holds
+about half a table of screen rows while the trials are scored.
 
 Sampling is most of the work when the family is small.  Each block of
 trials has its own substream, spawned in order on the calling thread, and
@@ -58,7 +83,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,8 +103,8 @@ _Z95 = 1.959963984540054
 # schedule nor the number of CPUs.
 _TRIAL_BLOCK = 4096
 # Rivals per tile, and groups per span: a full trial block against a tile
-# of rivals or a span of envelopes is an 8 MiB product, whatever the size
-# of the family.
+# of rivals or a span of envelopes is a 4 MiB float32 product, whatever the
+# size of the family.
 _RIVAL_TILE = 256
 # Consecutive rivals sharing one likelihood envelope.  On a 3x6 truth at
 # f = 0.2 and m = 10..40, envelopes of 8 clear 94-99% of the (correct
@@ -95,10 +120,15 @@ _LOG_ZERO = -1e18
 # units in the last place either side of 0.  A score above
 # -m * _TIE_RTOL * (1 + max |log p|), summed over both sources, counts as a
 # tie; the rounding is about (N + 2**L) * 2**-53 of that scale, below
-# 1e-12 for N + 2**L up to about 9,000.  A group envelope's score rounds
-# within the same scale, so an envelope score below twice its group's
-# largest threshold leaves every member's score below that member's own.
+# 1e-12 for N + 2**L up to about 9,000.
 _TIE_RTOL = 1e-12
+# The unit roundoff of float32, whose screens clear the trials that the
+# truth wins past the first tile.
+_U32 = 2.0 ** -24
+# Every screen entry off the truth's support: one count there lifts a
+# float32 score above 0 (or to +inf), past any negative part, which is at
+# most 2**63 * 1.5e3 in size, so no screen clears the trial.
+_OFF_SUPPORT = np.float32(2.0 ** 100)
 
 
 @dataclass(frozen=True)
@@ -163,42 +193,75 @@ def sample_observations(truth: BinaryMatrix, profile: FlipProfile, m: int,
     return words
 
 
-def _rival_ratios(probs: np.ndarray, truth_idx: int,
-                  order: Callable[[np.ndarray], np.ndarray] | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-rival log-probability ratios against the truth and their tie slack.
+def _log_ratios(rows: np.ndarray, truth_logs: np.ndarray | float
+                ) -> np.ndarray:
+    """Turn ``rows``, a fresh array of probabilities, into log-ratios.
 
-    Returns ``(ratios, slack)``: row i of ``ratios`` is
-    ``log p_r - log p_truth`` over the outcomes for the i-th rival r in
-    scoring order, and a score ``counts @ ratios[i]`` of at least
-    ``-m * slack[i]`` is a tie or a win for that rival.  The scoring order
-    is enumeration order, or ``order(nearness)``: positions into the rivals
-    in enumeration order, given each one's ``log p_r · p_truth``.
-
-    The rivals' rows of ``probs`` are gathered once, in scoring order, and
-    turned into ratios in place, so beside the table the call holds one
-    ratio table and one row chunk's logs for the nearness.
+    In place, ``log p - truth_logs`` with ``_LOG_ZERO`` for the log of 0;
+    ``truth_logs`` 0 gives the logs.  Every float64 ratio a decision reads
+    comes from here, so a row made again has the bits of the first.
     """
-    # Over each source's support only: a sentinel entry is met by zero
-    # counts (exact) or decides the trial by far more than any slack.
+    with np.errstate(divide="ignore"):
+        np.log(rows, out=rows)
+    np.maximum(rows, _LOG_ZERO, out=rows)
+    rows -= truth_logs
+    return rows
+
+
+def _scales(probs: np.ndarray, truth_idx: int,
+            rivals: np.ndarray) -> np.ndarray:
+    """``B_r = magnitude_r + magnitude_truth`` for each rival in ``rivals``.
+
+    A magnitude is ``1 + max |log p|`` over the source's support only: a
+    sentinel entry is met by zero counts (exact) or decides the trial by
+    far more than any slack.  ``_TIE_RTOL * B_r`` is the rival's tie slack.
+    """
     magnitude = 1.0 - np.log(np.min(probs, axis=1, where=probs > 0.0,
                                     initial=np.inf))
-    p_truth = probs[truth_idx]
-    rivals = np.delete(np.arange(probs.shape[0]), truth_idx)
-    with np.errstate(divide="ignore"):
-        if order is not None:
-            nearness = np.empty(probs.shape[0])
-            for chunk in mixtures.row_chunks(probs.shape[0], p_truth.nbytes):
-                nearness[chunk] = np.maximum(np.log(probs[chunk]),
-                                             _LOG_ZERO) @ p_truth
-            rivals = rivals[order(nearness[rivals])]
-        truth_logs = np.maximum(np.log(p_truth), _LOG_ZERO)
-        ratios = probs[rivals]
-        np.log(ratios, out=ratios)
-    np.maximum(ratios, _LOG_ZERO, out=ratios)
-    ratios -= truth_logs
-    slack = magnitude[rivals] + magnitude[truth_idx]
-    return ratios, _TIE_RTOL * slack
+    return magnitude[rivals] + magnitude[truth_idx]
+
+
+def _screen_lambda(n_outcomes: int) -> float:
+    """The rounding bound ``lambda_K`` of a float32 score over K outcomes.
+
+    The float32 score of counts c against a row x, both rounded to float32
+    first, lies within ``lambda_K * sum |c_i x_i|`` of the exact score, in
+    any order of summation.  The bound needs ``K * u < 1``, that is L <=
+    23; the table budget keeps L far below that.
+    """
+    k_u = n_outcomes * _U32
+    assert k_u < 1.0, n_outcomes
+    return (1.0 + _U32) ** 2 * k_u / (1.0 - k_u) + 2.0 * _U32 + _U32 ** 2
+
+
+def _clear_levels(slack: np.ndarray, scale: np.ndarray,
+                  n_outcomes: int) -> np.ndarray:
+    """Per unit of m, the float64 level below which a screen score clears.
+
+    That is the tie threshold ``-slack`` less ``2 * scale * lambda_K``, for
+    screen rows or envelopes whose entries on the truth's support lie
+    within ``±scale``.
+    """
+    return -(slack + 2.0 * _screen_lambda(n_outcomes) * scale)
+
+
+def _screen_rows(ratios: np.ndarray, scale: np.ndarray,
+                 off_support: np.ndarray) -> np.ndarray:
+    """Float32 screen rows: ratio rows clipped from below at ``-B_r``.
+
+    The entries off the truth's support, where only a stray count can
+    fall, are ``_OFF_SUPPORT``.
+    """
+    rows = np.maximum(ratios, -scale[:, None]).astype(np.float32)
+    rows[:, off_support] = _OFF_SUPPORT
+    return rows
+
+
+def _floor32(levels: np.ndarray) -> np.ndarray:
+    """The largest float32 at most each float64 level."""
+    rounded = levels.astype(np.float32)
+    return np.where(rounded > levels,
+                    np.nextafter(rounded, np.float32(-np.inf)), rounded)
 
 
 def _nearest_groups_first(nearness: np.ndarray) -> np.ndarray:
@@ -217,33 +280,66 @@ def _nearest_groups_first(nearness: np.ndarray) -> np.ndarray:
 
 
 class RivalRatios(NamedTuple):
-    """What Monte Carlo scoring reads of a family table.
+    """What Monte Carlo scoring reads of a family table, in scoring order.
 
-    ``ratios`` and ``slack`` are what ``_rival_ratios`` returns for the
-    truth, in scoring order, and ``p_truth`` is a copy of the truth's row:
-    a view would keep the whole table alive.
+    ``first`` holds the float64 ratio rows of the first tile's rivals, and
+    ``screen`` and ``envelopes`` every rival's float32 screen row and each
+    group's envelope, both empty when the rivals fit in one tile.
+    ``scale`` is each rival's ``B_r``, and ``sources`` its source rows, from
+    which the float64 rows past the first tile are made again.
+    ``truth_logs`` and ``p_truth`` are the truth's logs and a copy of its
+    row: a view would keep the whole table alive.
     """
 
-    ratios: np.ndarray
-    slack: np.ndarray
+    first: np.ndarray
+    screen: np.ndarray
+    envelopes: np.ndarray
+    scale: np.ndarray
+    sources: np.ndarray
+    truth_logs: np.ndarray
     p_truth: np.ndarray
 
 
 def rival_ratios(table: tuple[np.ndarray, np.ndarray],
                  truth: BinaryMatrix) -> RivalRatios:
-    """The rivals' ratio table against ``truth``, a source of ``table``.
+    """What scoring reads of ``table``, a family table holding ``truth``.
 
     Rivals that fit in one tile keep enumeration order: there is no later
     tile to order or screen, and a padded short group would only widen the
-    one product.  More are taken nearest group first.  Raises
+    one product.  More are taken nearest group first, by ``log p_r ·
+    p_truth``, and their rows are gathered in one pass of row chunks, in
+    scoring order, into ratios, screen rows and envelopes.  Raises
     ``InvalidInputError`` when ``table`` does not hold the truth.  Nothing
     returned refers to the table, so a caller that drops it frees it.
     """
-    _, probs = table
+    rows, probs = table
     truth_idx = family_index(table, truth)
-    order = _nearest_groups_first if probs.shape[0] - 1 > _RIVAL_TILE else None
-    ratios, slack = _rival_ratios(probs, truth_idx, order)
-    return RivalRatios(ratios, slack, probs[truth_idx].copy())
+    p_truth = probs[truth_idx].copy()
+    truth_logs = _log_ratios(p_truth.copy(), 0.0)
+    rivals = np.delete(np.arange(probs.shape[0]), truth_idx)
+    screened = rivals.size > _RIVAL_TILE
+    if screened:
+        nearness = np.empty(probs.shape[0])
+        for chunk in mixtures.row_chunks(probs.shape[0], p_truth.nbytes):
+            nearness[chunk] = _log_ratios(probs[chunk].copy(), 0.0) @ p_truth
+        rivals = rivals[_nearest_groups_first(nearness[rivals])]
+    scale = _scales(probs, truth_idx, rivals)
+    first = _log_ratios(probs[rivals[:_RIVAL_TILE]], truth_logs)
+    n_screened = rivals.size if screened else 0
+    screen = np.empty((n_screened, probs.shape[1]), dtype=np.float32)
+    envelopes = np.empty((n_screened // _GROUP, probs.shape[1]),
+                         dtype=np.float32)
+    off_support = p_truth == 0.0
+    for groups in mixtures.row_chunks(envelopes.shape[0],
+                                      _GROUP * p_truth.nbytes):
+        chunk = slice(groups.start * _GROUP, groups.stop * _GROUP)
+        screen[chunk] = _screen_rows(
+            _log_ratios(probs[rivals[chunk]], truth_logs), scale[chunk],
+            off_support)
+        envelopes[groups] = screen[chunk].reshape(
+            -1, _GROUP, probs.shape[1]).max(axis=1)
+    return RivalRatios(first, screen, envelopes, scale, rows[rivals],
+                       truth_logs, p_truth)
 
 
 def ml_decide(observations: Sequence[int], profile: FlipProfile,
@@ -266,8 +362,11 @@ def ml_decide(observations: Sequence[int], profile: FlipProfile,
     words = np.asarray(observed, dtype=np.int64)
     counts = np.bincount(words, minlength=1 << n_cols).astype(float)
     truth_idx = family_index(table, truth)
-    ratios, slack = _rival_ratios(probs, truth_idx)
+    rivals = np.delete(np.arange(probs.shape[0]), truth_idx)
+    ratios = _log_ratios(probs[rivals],
+                         _log_ratios(probs[truth_idx].copy(), 0.0))
     scores = ratios @ counts
+    slack = _TIE_RTOL * _scales(probs, truth_idx, rivals)
     correct = bool(np.all(scores < -words.size * slack))
     chosen = int(np.argmax(np.insert(scores, truth_idx, 0.0)))
     return family_source(rows, chosen, n_cols), correct
@@ -336,14 +435,19 @@ def _drawn_blocks(p_truth: np.ndarray,
 def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
     """Errors among ``cfg.trials`` simulated trials, one count per m.
 
-    ``rivals`` is ``rival_ratios`` of the truth's family table; the group
-    envelopes are built here, after the caller has let go of the table.
+    ``rivals`` is ``rival_ratios`` of the truth's family table under
+    ``cfg.profile``, whose channel kernel makes the float64 rows past the
+    first tile again.
     """
-    ratios, slack, p_truth = rivals
-    n_rivals = ratios.shape[0]
+    first, screen, envelopes, scale, sources, truth_logs, p_truth = rivals
+    n_rivals = scale.size
+    slack = _TIE_RTOL * scale
     if n_rivals > _RIVAL_TILE:
-        envelopes = ratios.reshape(-1, _GROUP, ratios.shape[1]).max(axis=1)
-        envelope_slack = 2.0 * slack.reshape(-1, _GROUP).max(axis=1)
+        kernel = mixtures.channel_kernel(cfg.profile)
+        rival_levels = _clear_levels(slack, scale, screen.shape[1])
+        group_levels = _clear_levels(
+            2.0 * slack.reshape(-1, _GROUP).max(axis=1),
+            scale.reshape(-1, _GROUP).max(axis=1), screen.shape[1])
     n_blocks = (cfg.trials + _TRIAL_BLOCK - 1) // _TRIAL_BLOCK
     point_streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.m_values))
     jobs = ((point_stream.spawn(1)[0], m,
@@ -358,37 +462,57 @@ def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
             # rival-major scores: "some rival reaches its threshold" ORs
             # whole rows of trials together
             lost = np.logical_or.reduce(
-                ratios[:_RIVAL_TILE] @ counts.T
-                >= -m * slack[:_RIVAL_TILE, None], axis=0)
+                first @ counts.T >= -m * slack[:_RIVAL_TILE, None], axis=0)
             per_m[m] += int(np.count_nonzero(lost))
+            if n_rivals <= _RIVAL_TILE:
+                continue
+            rival_clear = _floor32(m * rival_levels)[:, None]
+            group_clear = _floor32(m * group_levels)[:, None]
+            counts32 = None
             start = _RIVAL_TILE
             while start < n_rivals:
                 if lost.any():
+                    # dropped first, so one float32 copy is alive at a time
+                    counts32 = None
                     counts = counts[~lost]
                     if counts.shape[0] == 0:
                         break
-                first = start // _GROUP
-                groups = slice(first, first + _RIVAL_TILE)
+                if counts32 is None:
+                    counts32 = counts.astype(np.float32)
+                first_group = start // _GROUP
+                groups = slice(first_group, first_group + _RIVAL_TILE)
                 stop = min(groups.stop * _GROUP, n_rivals)
                 # (group, trial): only a trial that a group's envelope
                 # leaves open can lose to that group's members
-                left_open = (envelopes[groups] @ counts.T
-                             >= -m * envelope_slack[groups, None])
+                left_open = (envelopes[groups] @ counts32.T
+                             >= group_clear[groups])
                 lost = np.zeros(counts.shape[0], dtype=bool)
                 for tile_start in range(start, stop, _RIVAL_TILE):
                     tile = slice(tile_start,
                                  min(tile_start + _RIVAL_TILE, stop))
                     # the span's rows for the groups this tile meets
-                    rows = slice(tile.start // _GROUP - first,
-                                 -(-tile.stop // _GROUP) - first)
+                    rows = slice(tile.start // _GROUP - first_group,
+                                 -(-tile.stop // _GROUP) - first_group)
                     trials = np.flatnonzero(
                         np.logical_or.reduce(left_open[rows], axis=0) & ~lost)
-                    if trials.size:
+                    if not trials.size:
+                        continue
+                    # (rival, trial) pairs the tile's screen cannot clear,
+                    # scored in float64 against the rivals' rows made again
+                    left = (screen[tile] @ counts32[trials].T
+                            >= rival_clear[tile])
+                    near = np.flatnonzero(left.any(axis=1))
+                    if near.size:
+                        trials = trials[left.any(axis=0)]
+                        ratios = _log_ratios(mixtures.mixture_probs_table(
+                            sources[tile][near], kernel), truth_logs)
                         lost[trials] = np.logical_or.reduce(
-                            ratios[tile] @ counts[trials].T
-                            >= -m * slack[tile, None], axis=0)
+                            ratios @ counts[trials].T
+                            >= -m * slack[tile][near, None], axis=0)
                 per_m[m] += int(np.count_nonzero(lost))
                 start = stop
+            # not held while the next block is drawn
+            del counts32
     return list(per_m.values())
 
 

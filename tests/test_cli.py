@@ -286,6 +286,13 @@ class TestReportBytes:
                                    "--flip", "0.2", "--m-values",
                                    "10,20,30,40", "--trials", "4096",
                                    "--seed", "1"),
+        # the same truth at low noise with a flip-free and an always-flipped
+        # column: the rivals' ratios hold log-zero sentinels, and most
+        # trials reach the screened tiles
+        "simulate_zeros.json": ("simulate", "--truth", "truth36.txt",
+                                "--flips", "0,0.05,0.05,0.05,0.05,1",
+                                "--m-values", "5,10,15,20", "--trials",
+                                "2000", "--seed", "3"),
         "verify.json": ("verify", "--n", "4", "--l", "2", "--flip", "0.1"),
     }
 

@@ -83,7 +83,9 @@ def reference_error_counts(cfg, table):
 # N <= 3, L <= 4; constant flips from noiseless to inverted, and mixed
 # profiles whose 0 and 1 entries put zeros in the table.  Most rival counts
 # are not multiples of 8 (9 at (2, 2), 815 at (3, 4)), so the last group is
-# short; tiles of 1 and 7 screen every family, the default tile only (3, 4).
+# short; tiles of 1 and 7 screen every family, the default tile only (3, 4)
+# and (2, 5), whose 527 rivals make three tiles of one span and whose 0 and
+# 1 flips put log-zero sentinels in the float32 screen rows.
 REFERENCE_GRID = [
     (n, l, FlipProfile.constant(f, l))
     for n, l in ((1, 4), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (3, 4))
@@ -94,6 +96,7 @@ REFERENCE_GRID = [
     (3, 3, FlipProfile((0.0, 0.05, 1.0))),
     (2, 4, FlipProfile((0.0, 0.02, 1.0, 0.2))),
     (3, 4, FlipProfile((1.0, 0.5, 0.0, 0.05))),
+    (2, 5, FlipProfile((0.0, 0.05, 0.2, 1.0, 0.1))),
 ]
 
 
@@ -328,8 +331,9 @@ class TestErrorCounts:
                         trials=4096, seed=0)
         block = 4096 * 1024 * 8
         # measured with each block drawn and scored in turn on the calling
-        # thread: an int64 draw beside its float copy, and the 8 MiB ratios
-        serial_peak = 76_956_577
+        # thread: an int64 draw beside its float copy and the last block's
+        # open trials, and the 4 MiB float32 screen rows
+        serial_peak = 74_391_953
         tracemalloc.start()
         try:
             simulate._error_counts(cfg, simulate.rival_ratios(table, truth))
@@ -374,12 +378,19 @@ class TestErrorCounts:
                 ) == reference, (t, group, tile, workers)
 
     @pytest.mark.parametrize("order", [None, simulate._nearest_groups_first])
-    def test_ratios_match_whole_table_logs(self, order):
-        # the nearness is summed over row chunks and the ratios are logged
-        # in place; both must keep the bits of the logs of the whole table
+    def test_ratios_match_whole_table_logs(self, monkeypatch, order):
+        # the nearness is summed over row chunks, and the float64 rows that
+        # decide are the first tile's, gathered from the table, and those
+        # made again from the rivals' sources; all must keep the bits of
+        # the logs of the whole table.  One tile of every rival keeps
+        # enumeration order.
         profile = FlipProfile.constant(0.3, 6)
-        _, probs = family_table(3, 6, profile, DEFAULT_MAX_MATRICES)
+        table = family_table(3, 6, profile, DEFAULT_MAX_MATRICES)
+        rows, probs = table
         assert probs.nbytes > 2 * bmmci.mixtures._CHUNK_BYTES
+        if order is None:
+            monkeypatch.setattr(simulate, "_RIVAL_TILE", probs.shape[0])
+        kernel = bmmci.mixtures.channel_kernel(profile)
         with np.errstate(divide="ignore"):
             logs = np.maximum(np.log(probs), simulate._LOG_ZERO)
         magnitude = 1.0 - np.log(np.min(probs, axis=1, where=probs > 0.0,
@@ -388,15 +399,53 @@ class TestErrorCounts:
             rivals = np.delete(np.arange(probs.shape[0]), t)
             if order is not None:
                 rivals = rivals[order((logs @ probs[t])[rivals])]
-            ratios, slack = simulate._rival_ratios(probs, t, order)
-            assert np.array_equal(ratios, logs[rivals] - logs[t])
-            assert np.array_equal(slack, simulate._TIE_RTOL
+            got = simulate.rival_ratios(table, family_source(rows, t, 6))
+            ratios = logs[rivals] - logs[t]
+            assert np.array_equal(got.first,
+                                  ratios[:simulate._RIVAL_TILE])
+            assert np.array_equal(got.sources, rows[rivals])
+            remade = simulate._log_ratios(bmmci.mixtures.mixture_probs_table(
+                got.sources, kernel), got.truth_logs)
+            assert np.array_equal(remade, ratios)
+            assert np.array_equal(simulate._TIE_RTOL * got.scale,
+                                  simulate._TIE_RTOL
                                   * (magnitude[rivals] + magnitude[t]))
+            if order is None:
+                assert got.screen.shape[0] == 0
+            else:
+                # the screen rows, built chunk by chunk, clip these ratios
+                assert np.array_equal(got.screen, simulate._screen_rows(
+                    ratios, got.scale, probs[t] == 0.0))
+                assert np.array_equal(got.envelopes, got.screen.reshape(
+                    -1, simulate._GROUP, 64).max(axis=1))
+
+    @pytest.mark.parametrize("n,l,profile", [
+        (3, 6, FlipProfile.constant(0.3, 6)),
+        (3, 5, FlipProfile((0.0, 0.05, 0.2, 1.0, 0.1))),
+        (2, 4, FlipProfile((0.0, 0.02, 1.0, 0.2))),
+        (1, 10, FlipProfile.constant(0.05, 10)),
+    ])
+    def test_rows_made_again_keep_the_table_bits(self, n, l, profile):
+        # scoring past the first tile makes the rows of the rivals its
+        # screen cannot clear, a few at a time, from their sources
+        rows, probs = family_table(n, l, profile, DEFAULT_MAX_MATRICES)
+        kernel = bmmci.mixtures.channel_kernel(profile)
+        rng = np.random.default_rng(l)
+        truth_logs = simulate._log_ratios(probs[0].copy(), 0.0)
+        for size in sorted({1, 7, min(256, rows.shape[0]), rows.shape[0]}):
+            picked = rng.choice(rows.shape[0], size, replace=False)
+            remade = bmmci.mixtures.mixture_probs_table(rows[picked], kernel)
+            assert np.array_equal(remade, probs[picked])
+            assert np.array_equal(simulate._log_ratios(remade, truth_logs),
+                                  simulate._log_ratios(probs[picked],
+                                                       truth_logs))
+        assert (probs == 0.0).any() == (0.0 in profile.flips
+                                        or 1.0 in profile.flips)
 
     def test_peak_within_table_multiple(self):
-        # the rivals' rows are gathered once and turned into ratios in
-        # place: beside the table, scoring holds one ratio table, its
-        # group envelopes, the trial blocks and one span's product
+        # beside the table, scoring holds the float32 screen rows (half a
+        # table), their group envelopes, the first tile's float64 rows, the
+        # trial block in float64 and float32 and one span's product
         truth = canonicalize([0, 5, 9], 6)
         profile = FlipProfile.constant(0.3, 6)
         table = family_table(3, 6, profile, DEFAULT_MAX_MATRICES)
@@ -408,7 +457,7 @@ class TestErrorCounts:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * table[1].nbytes
+        assert peak <= 1.25 * table[1].nbytes
 
     def test_truth_outside_table(self):
         # the table holds 3-row, 2-column sources; the truth has 3 rows of 1
@@ -418,6 +467,111 @@ class TestErrorCounts:
                              DEFAULT_MAX_MATRICES)
         with pytest.raises(InvalidInputError):
             simulate.rival_ratios(table, cfg.truth)
+
+
+def certified_clears(ratios, scale, counts, m, off_support):
+    """Check the float32 screens of ``ratios`` against their float64 scores.
+
+    Every (row, trial) pair a screen row clears, and every trial a group
+    envelope of 8 rows clears, must score below the tie threshold in
+    float64, in two summation orders.  Returns the number of pairs cleared.
+    """
+    n_outcomes = ratios.shape[1]
+    slack = simulate._TIE_RTOL * scale
+    counts32 = counts.astype(np.float32)
+    screen = simulate._screen_rows(ratios, scale, off_support)
+    cleared = (screen @ counts32.T < simulate._floor32(
+        m * simulate._clear_levels(slack, scale, n_outcomes))[:, None])
+    envelopes = screen.reshape(-1, 8, n_outcomes).max(axis=1)
+    group_levels = simulate._clear_levels(
+        2.0 * slack.reshape(-1, 8).max(axis=1),
+        scale.reshape(-1, 8).max(axis=1), n_outcomes)
+    group_cleared = (envelopes @ counts32.T
+                     < simulate._floor32(m * group_levels)[:, None])
+    cleared_by_group = np.repeat(group_cleared, 8, axis=0)
+    threshold = -m * slack[:, None]
+    for scores in (ratios @ counts.T,
+                   ratios[:, ::-1] @ counts[:, ::-1].T):
+        assert not (cleared & (scores >= threshold)).any()
+        assert not (cleared_by_group & (scores >= threshold)).any()
+    # nor does any screen clear a trial with a count off the support
+    stray = counts[:, off_support].any(axis=1)
+    assert not (cleared | cleared_by_group)[:, stray].any()
+    return int(np.count_nonzero(cleared))
+
+
+class TestScreenCertificate:
+    """A pair the float32 screen clears loses to the truth in float64."""
+
+    @pytest.mark.parametrize("n_outcomes", [2, 64, 1024])
+    def test_cleared_pairs_score_below_threshold(self, n_outcomes):
+        rng = np.random.default_rng(n_outcomes)
+
+        def draw(n_rows, zeros):
+            probs = rng.gamma(0.5, size=(n_rows, n_outcomes))
+            probs[rng.random(probs.shape) < zeros] = 0.0
+            probs[:, rng.integers(n_outcomes)] += 1e-3
+            return probs / probs.sum(axis=1, keepdims=True)
+
+        for m in (1, 3, 40, 1000, 2**24 + 1, 2**27 + 3, 3 * 2**40 + 1):
+            # the truth keeps both outcomes at K = 2; rivals put sentinels
+            # against it everywhere
+            p_truth = draw(1, 0.0 if n_outcomes == 2 else 0.125)[0]
+            support = np.flatnonzero(p_truth)
+            near = np.repeat(p_truth[None], 16, axis=0)
+            for row in near[:8]:  # permuted truths: ties at equal counts
+                row[support] = row[rng.permutation(support)]
+            near[8:] *= 1.0 + 1e-6 * rng.standard_normal((8, n_outcomes))
+            near[8:] /= near[8:].sum(axis=1, keepdims=True)
+            probs = np.vstack([draw(48, 0.125), near])
+            truth_logs = simulate._log_ratios(p_truth.copy(), 0.0)
+            ratios = simulate._log_ratios(probs.copy(), truth_logs)
+            scale = simulate._scales(np.vstack([probs, p_truth]),
+                                     probs.shape[0], np.arange(len(probs)))
+            counts = rng.multinomial(m, p_truth, size=64).astype(float)
+            off_support = p_truth == 0.0
+            if off_support.any():
+                # stray counts, which the sampler can leave off the support
+                strays = np.arange(60, 64)
+                counts[strays, counts[strays].argmax(axis=1)] -= 1.0
+                counts[strays, np.flatnonzero(off_support)[-1]] = 1.0
+            # eight rows whose float64 score on one trial lies within a few
+            # units in the last place of the threshold, either side: a
+            # perturbed truth's ratios, shrunk, and one entry that sets the
+            # score
+            trial = int(np.argmax(counts[:60, 0]))
+            c, j = counts[trial], int(np.argmax(counts[trial]))
+            threshold = -m * simulate._TIE_RTOL * scale[-1]
+            at = ratios[-1] * (1e-3 * abs(threshold)
+                               / np.abs(ratios[-1] * c).sum())
+            at[j] = 0.0
+            at[j] = (threshold - at @ c) / c[j]
+            at = np.repeat(at[None], 8, axis=0)
+            at[:, j] *= 1.0 + np.arange(-4, 4) * 2.0**-52
+            ratios = np.vstack([ratios, at])
+            scale = np.concatenate([scale, np.full(8, scale[-1])])
+            got = ratios[-8:] @ counts[trial]
+            assert np.all(np.abs(got - threshold)
+                          <= 16 * np.spacing(abs(threshold)))
+            assert (got >= threshold).any() and (got < threshold).any()
+            assert certified_clears(ratios, scale, counts, m,
+                                    off_support) > 0
+
+    def test_margin_is_needed(self, monkeypatch):
+        # a tie in float64: 3 * (1 + 3 * 2**-26) - (3 + 9 * 2**-26) == 0,
+        # but float32 rounds the first entry down and the second up, to
+        # -2**-22; only the rounding margin keeps the screen from clearing
+        # it.  Eight copies make one group.
+        ratios = np.repeat([[1.0 + 3 * 2.0**-26, -(3.0 + 9 * 2.0**-26)]],
+                           8, axis=0)
+        scale = np.full(8, 5.0)
+        counts = np.array([[3.0, 1.0]])
+        assert (ratios @ counts.T == 0.0).all()
+        on_support = np.zeros(2, dtype=bool)
+        assert certified_clears(ratios, scale, counts, 4, on_support) == 0
+        monkeypatch.setattr(simulate, "_screen_lambda", lambda k: 0.0)
+        with pytest.raises(AssertionError):
+            certified_clears(ratios, scale, counts, 4, on_support)
 
 
 class TestCommandMemory:
@@ -459,9 +613,10 @@ class TestCommandMemory:
         return alive
 
     def test_peak_within_table_multiple(self, monkeypatch, capsys):
-        # the exact exponent holds the table and its square roots, then
-        # the ratios are built beside the table; scoring holds the ratio
-        # table, its envelopes, two workers' blocks and one span's product
+        # the exact exponent holds the table and its square roots (2.06x
+        # traced), then the screen rows are built beside the table; scoring
+        # holds the screen rows, their envelopes, two workers' blocks and
+        # one span's product
         monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
         tracemalloc.start()
         try:
@@ -470,7 +625,7 @@ class TestCommandMemory:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= 2.25 * self.TABLE_BYTES
+        assert peak <= 2.15 * self.TABLE_BYTES
 
     def test_command_lets_go_of_table(self, monkeypatch, capsys):
         alive = self.watch_table(monkeypatch, bmmci.cli)
