@@ -251,16 +251,22 @@ def mixture_probs_table(rows_table: np.ndarray, kernel: np.ndarray) -> np.ndarra
     """Mixture vectors for many sources at once.
 
     ``rows_table`` has one source per row (shape (M, N)); returns (M, 2**L).
-    Row w of ``shifted`` is the kernel seen from word w, so each of the N
-    rows of every source is one row gather.  The sum runs over row chunks of
-    the result, in place, so the call holds the result and one chunk's
-    gather; no (M, N, 2**L) array and no second table is built.
+    ``shifted`` holds the kernel seen from each word that occurs in
+    ``rows_table``, word w at row ``slot[w]``, so each of the N rows of
+    every source is one row gather.  The sum runs over row chunks of the
+    result, in place, so the call holds the result and one chunk's gather
+    beside ``shifted`` and its int64 index, one row per word present: a few
+    sources make a few rows, not 2**L.  No (M, N, 2**L) array and no second
+    table is built.
     """
     outcomes = np.arange(kernel.shape[0])
-    shifted = kernel[outcomes[:, None] ^ outcomes]
+    present = np.zeros(kernel.shape[0], dtype=bool)
+    present[rows_table] = True
+    shifted = kernel[np.flatnonzero(present)[:, None] ^ outcomes]
+    slot = np.cumsum(present) - 1
     table = np.empty((rows_table.shape[0], kernel.shape[0]))
     for chunk in row_chunks(table.shape[0], kernel.nbytes):
-        total, rows = table[chunk], rows_table[chunk]
+        total, rows = table[chunk], slot[rows_table[chunk]]
         total[...] = shifted[rows[:, 0]]
         for n in range(1, rows.shape[1]):
             total += shifted[rows[:, n]]

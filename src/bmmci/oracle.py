@@ -169,9 +169,10 @@ def family_table(n_rows: int, n_cols: int, profile: FlipProfile,
     ``rows[i]`` over the 2**L outcome words.  A profile whose length is not
     L raises ``InvalidInputError``.  A table or an (M, N) rows array over
     the budget of ``check_budget`` raises ``ResourceLimitError`` before
-    anything is built; the (2**L, 2**L) shifted kernels are never larger
-    than the table, since M >= 2**L.  At its peak the call holds the rows
-    and the table, beside one row chunk's gather.
+    anything is built.  The shifted kernels, at most (2**L, 2**L), are
+    gathered through an int64 index of their shape, and neither is larger
+    than the table, since M >= 2**L.  At its peak the call holds the rows,
+    the table and the shifted kernels, beside one row chunk's gather.
     """
     check_profile(profile, n_cols)
     check_budget(_family_size(n_rows, n_cols, max_matrices) * 8

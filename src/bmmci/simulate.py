@@ -27,7 +27,7 @@ screens whose rounding is certified.  A rival's screen row is its ratio row
 clipped from below at ``-B_r``, where
 ``B_r = magnitude_r + magnitude_truth`` is the scale of its tie slack: on
 the truth's support every ratio entry lies within ``±B_r``, and off it the
-counts are 0 but for the stray ones below.  By the dot-product rounding
+counts are 0 (``_draw`` keeps them there).  By the dot-product rounding
 bound (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
 2002, §3.1), a float32 score over K = 2**L outcomes, counts and entries
 rounded to float32 as well, lies within ``m * B * lambda_K`` of the exact
@@ -42,10 +42,7 @@ outcome-wise largest screen row of its members: counts are nonnegative, so
 ``counts · envelope`` bounds every member's clipped score; a group's
 threshold is ``-2m`` times its largest slack and its scale its largest
 ``B_r``.  A tie scores 0 within rounding, above every threshold, so no
-screen clears it, nor a rival that beats the truth.  The sampler gives its
-last outcome what the others leave of m, which at m near 10**17 can be a
-count where the truth's probability is 0; every screen entry there is
-``_OFF_SUPPORT``, so no screen clears a trial holding one.
+screen clears it, nor a rival that beats the truth.
 
 The envelopes are scored a span of groups at a time, in one product; then
 each tile of the span screens only the trials that its groups leave open
@@ -125,10 +122,6 @@ _TIE_RTOL = 1e-12
 # The unit roundoff of float32, whose screens clear the trials that the
 # truth wins past the first tile.
 _U32 = 2.0 ** -24
-# Every screen entry off the truth's support: one count there lifts a
-# float32 score above 0 (or to +inf), past any negative part, which is at
-# most 2**63 * 1.5e3 in size, so no screen clears the trial.
-_OFF_SUPPORT = np.float32(2.0 ** 100)
 
 
 @dataclass(frozen=True)
@@ -141,6 +134,9 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_profile(self.profile, self.truth.n_cols)
+        if not all(isinstance(v, (int, np.integer))
+                   for v in (self.trials, self.seed, *self.m_values)):
+            raise InvalidInputError("m_values, trials and seed must be integers")
         if self.trials < 1:
             raise InvalidInputError(f"trials must be >= 1, got {self.trials}")
         m_values = tuple(int(m) for m in self.m_values)
@@ -245,16 +241,9 @@ def _clear_levels(slack: np.ndarray, scale: np.ndarray,
     return -(slack + 2.0 * _screen_lambda(n_outcomes) * scale)
 
 
-def _screen_rows(ratios: np.ndarray, scale: np.ndarray,
-                 off_support: np.ndarray) -> np.ndarray:
-    """Float32 screen rows: ratio rows clipped from below at ``-B_r``.
-
-    The entries off the truth's support, where only a stray count can
-    fall, are ``_OFF_SUPPORT``.
-    """
-    rows = np.maximum(ratios, -scale[:, None]).astype(np.float32)
-    rows[:, off_support] = _OFF_SUPPORT
-    return rows
+def _screen_rows(ratios: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Float32 screen rows: ratio rows clipped from below at ``-B_r``."""
+    return np.maximum(ratios, -scale[:, None]).astype(np.float32)
 
 
 def _floor32(levels: np.ndarray) -> np.ndarray:
@@ -329,13 +318,11 @@ def rival_ratios(table: tuple[np.ndarray, np.ndarray],
     screen = np.empty((n_screened, probs.shape[1]), dtype=np.float32)
     envelopes = np.empty((n_screened // _GROUP, probs.shape[1]),
                          dtype=np.float32)
-    off_support = p_truth == 0.0
     for groups in mixtures.row_chunks(envelopes.shape[0],
                                       _GROUP * p_truth.nbytes):
         chunk = slice(groups.start * _GROUP, groups.stop * _GROUP)
         screen[chunk] = _screen_rows(
-            _log_ratios(probs[rivals[chunk]], truth_logs), scale[chunk],
-            off_support)
+            _log_ratios(probs[rivals[chunk]], truth_logs), scale[chunk])
         envelopes[groups] = screen[chunk].reshape(
             -1, _GROUP, probs.shape[1]).max(axis=1)
     return RivalRatios(first, screen, envelopes, scale, rows[rivals],
@@ -382,8 +369,23 @@ def _cpu_count() -> int:
 
 def _draw(seed: np.random.SeedSequence, m: int, p_truth: np.ndarray,
           n: int) -> np.ndarray:
-    """Outcome counts of n trials of m observations each, one row a trial."""
-    return np.random.default_rng(seed).multinomial(m, p_truth, size=n)
+    """Outcome counts of n trials of m observations each, one row a trial.
+
+    numpy's multinomial gives its last outcome whatever the others leave of
+    m, so when ``p_truth`` ends in a 0 the rounding of its conditional
+    probabilities can leave a count there, from m near 10**15 up.  An
+    outcome of probability 0 draws nothing, so that leftover is the
+    remainder that numpy's multinomial over the support alone gives its
+    last outcome, the truth's last of positive probability; it is moved
+    there, and every trial is that multinomial.  Counts are therefore 0
+    wherever ``p_truth`` is, which the scoring screens rely on.  The int64
+    sum is at most m, so it cannot overflow.
+    """
+    counts = np.random.default_rng(seed).multinomial(m, p_truth, size=n)
+    if p_truth[-1] == 0.0:
+        counts[:, np.flatnonzero(p_truth)[-1]] += counts[:, -1]
+        counts[:, -1] = 0
+    return counts
 
 
 def _drawn_blocks(p_truth: np.ndarray,

@@ -495,6 +495,19 @@ class TestSimulateCommand:
         assert code == 1
         assert "error rate" in err
 
+    def test_no_errors_from_counts_off_the_support(self, tmp_path, capsys):
+        # the truth's last outcome has probability 0, and at m = 10**15
+        # numpy's multinomial leaves counts there; scored as drawn, they
+        # make 14% of trials errors where the true rate is 0
+        truth = write_matrix(tmp_path / "t.txt", [0, 5, 9], 6)
+        code, out, _ = run_cli(capsys, "simulate", "--truth", truth,
+                               "--flips", "0.3,0.3,0.3,0.3,0.3,0",
+                               "--m-values", "10,20,40,1000000000000000",
+                               "--trials", "300", "--seed", "4")
+        assert code == 0
+        assert [point["error_rate"] for point in json.loads(out)["per_m"]] \
+            == [0.9966666666666667, 0.98, 0.9333333333333333, 0]
+
     def test_byte_identical_reports(self, tmp_path):
         truth_path = tmp_path / "t.txt"
         truth_path.write_text(format_matrix_text(canonicalize([0, 1, 1], 1)))

@@ -165,6 +165,22 @@ class TestMixtureDistribution:
             assert np.array_equal(mixture_probs_table(rows, kernel),
                                   expected)
 
+    def test_few_sources_shift_the_kernel_to_their_words(self):
+        # 3 sources of 3 rows at L = 10: the kernel is shifted to at most 9
+        # words, not to all 1,024 (16.8 MB with its index)
+        rows = np.random.default_rng(1).integers(0, 1 << 10, size=(3, 3))
+        kernel = channel_kernel(FlipProfile.constant(0.05, 10))
+        tracemalloc.start()
+        try:
+            table = mixture_probs_table(rows, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        outcomes = np.arange(1 << 10)
+        assert np.array_equal(table, kernel[rows[:, :, None] ^ outcomes]
+                              .sum(axis=1) / 3)
+
     @pytest.mark.parametrize("rows", [(0,), (0, 5, 5, 9)])
     def test_peak_within_charged_bytes(self, monkeypatch, rows):
         # the index and the gather over the distinct rows live beside the

@@ -28,7 +28,8 @@ from bmmci import (
 import bmmci.cli
 import bmmci.mixtures
 from bmmci import simulate
-from bmmci.oracle import DEFAULT_MAX_MATRICES, family_source, family_table
+from bmmci.oracle import (DEFAULT_MAX_MATRICES, family_index, family_source,
+                          family_table)
 
 TRUTH = canonicalize([0, 1, 1], 1)
 PROFILE = FlipProfile.constant(0.1, 1)
@@ -320,6 +321,25 @@ class TestErrorCounts:
             assert simulate._error_counts(
                 cfg, simulate.rival_ratios(table, truth)) == reference, workers
 
+    def test_counts_stay_on_the_truth_support(self):
+        # the bench's 3x6 truth with a flip-free last column: the truth's
+        # last outcome has probability 0, and numpy's multinomial leaves
+        # its rounding there, in every trial at m = 10**17
+        truth = parse_matrix_text("000000\n101000\n100100\n")
+        table = family_table(3, 6, FlipProfile((0.3,) * 5 + (0.0,)),
+                             DEFAULT_MAX_MATRICES)
+        p_truth = table[1][family_index(table, truth)]
+        support = p_truth > 0.0
+        m, seed = 10**17, np.random.SeedSequence(0)
+        assert np.random.default_rng(seed).multinomial(
+            m, p_truth, size=100)[:, -1].any()
+        counts = simulate._draw(seed, m, p_truth, 100)
+        assert not counts[:, ~support].any()
+        assert (counts.sum(axis=1) == m).all()
+        # the first trial is numpy's multinomial over the support alone
+        assert np.array_equal(counts[0, support], np.random.default_rng(
+            seed).multinomial(m, p_truth[support]))
+
     def test_peak_within_blocks_ahead_of_serial_peak(self, monkeypatch):
         # 1,024 outcomes, so a block of 4,096 trials is 32 MiB; with two
         # workers, at most three blocks are drawn ahead of the one scored
@@ -415,7 +435,7 @@ class TestErrorCounts:
             else:
                 # the screen rows, built chunk by chunk, clip these ratios
                 assert np.array_equal(got.screen, simulate._screen_rows(
-                    ratios, got.scale, probs[t] == 0.0))
+                    ratios, got.scale))
                 assert np.array_equal(got.envelopes, got.screen.reshape(
                     -1, simulate._GROUP, 64).max(axis=1))
 
@@ -424,10 +444,12 @@ class TestErrorCounts:
         (3, 5, FlipProfile((0.0, 0.05, 0.2, 1.0, 0.1))),
         (2, 4, FlipProfile((0.0, 0.02, 1.0, 0.2))),
         (1, 10, FlipProfile.constant(0.05, 10)),
+        (2, 8, FlipProfile((0.0, 0.05, 1.0, 0.2, 0.1, 0.3, 0.02, 0.4))),
     ])
     def test_rows_made_again_keep_the_table_bits(self, n, l, profile):
         # scoring past the first tile makes the rows of the rivals its
-        # screen cannot clear, a few at a time, from their sources
+        # screen cannot clear, a few at a time, from their sources; a few
+        # sources shift the kernel to their own words only
         rows, probs = family_table(n, l, profile, DEFAULT_MAX_MATRICES)
         kernel = bmmci.mixtures.channel_kernel(profile)
         rng = np.random.default_rng(l)
@@ -469,7 +491,7 @@ class TestErrorCounts:
             simulate.rival_ratios(table, cfg.truth)
 
 
-def certified_clears(ratios, scale, counts, m, off_support):
+def certified_clears(ratios, scale, counts, m):
     """Check the float32 screens of ``ratios`` against their float64 scores.
 
     Every (row, trial) pair a screen row clears, and every trial a group
@@ -479,7 +501,7 @@ def certified_clears(ratios, scale, counts, m, off_support):
     n_outcomes = ratios.shape[1]
     slack = simulate._TIE_RTOL * scale
     counts32 = counts.astype(np.float32)
-    screen = simulate._screen_rows(ratios, scale, off_support)
+    screen = simulate._screen_rows(ratios, scale)
     cleared = (screen @ counts32.T < simulate._floor32(
         m * simulate._clear_levels(slack, scale, n_outcomes))[:, None])
     envelopes = screen.reshape(-1, 8, n_outcomes).max(axis=1)
@@ -494,9 +516,6 @@ def certified_clears(ratios, scale, counts, m, off_support):
                    ratios[:, ::-1] @ counts[:, ::-1].T):
         assert not (cleared & (scores >= threshold)).any()
         assert not (cleared_by_group & (scores >= threshold)).any()
-    # nor does any screen clear a trial with a count off the support
-    stray = counts[:, off_support].any(axis=1)
-    assert not (cleared | cleared_by_group)[:, stray].any()
     return int(np.count_nonzero(cleared))
 
 
@@ -529,12 +548,6 @@ class TestScreenCertificate:
             scale = simulate._scales(np.vstack([probs, p_truth]),
                                      probs.shape[0], np.arange(len(probs)))
             counts = rng.multinomial(m, p_truth, size=64).astype(float)
-            off_support = p_truth == 0.0
-            if off_support.any():
-                # stray counts, which the sampler can leave off the support
-                strays = np.arange(60, 64)
-                counts[strays, counts[strays].argmax(axis=1)] -= 1.0
-                counts[strays, np.flatnonzero(off_support)[-1]] = 1.0
             # eight rows whose float64 score on one trial lies within a few
             # units in the last place of the threshold, either side: a
             # perturbed truth's ratios, shrunk, and one entry that sets the
@@ -554,8 +567,7 @@ class TestScreenCertificate:
             assert np.all(np.abs(got - threshold)
                           <= 16 * np.spacing(abs(threshold)))
             assert (got >= threshold).any() and (got < threshold).any()
-            assert certified_clears(ratios, scale, counts, m,
-                                    off_support) > 0
+            assert certified_clears(ratios, scale, counts, m) > 0
 
     def test_margin_is_needed(self, monkeypatch):
         # a tie in float64: 3 * (1 + 3 * 2**-26) - (3 + 9 * 2**-26) == 0,
@@ -567,11 +579,10 @@ class TestScreenCertificate:
         scale = np.full(8, 5.0)
         counts = np.array([[3.0, 1.0]])
         assert (ratios @ counts.T == 0.0).all()
-        on_support = np.zeros(2, dtype=bool)
-        assert certified_clears(ratios, scale, counts, 4, on_support) == 0
+        assert certified_clears(ratios, scale, counts, 4) == 0
         monkeypatch.setattr(simulate, "_screen_lambda", lambda k: 0.0)
         with pytest.raises(AssertionError):
-            certified_clears(ratios, scale, counts, 4, on_support)
+            certified_clears(ratios, scale, counts, 4)
 
 
 class TestCommandMemory:
@@ -855,3 +866,26 @@ def test_config_refuses_what_numpy_cannot_take(m_values, seed, message):
     with pytest.raises(InvalidInputError, match=message):
         SimConfig(truth=TRUTH, profile=PROFILE, m_values=m_values,
                   trials=10, seed=seed)
+
+
+@pytest.mark.parametrize("m_values,trials,seed", [
+    ((10.7, 20.2, 30.9), 100, 0),
+    (("10", "20", "30"), 100, 0),
+    ((10, 20, 30), 100.5, 0),
+    ((10, 20, 30), 100, 1.5),
+])
+def test_config_refuses_non_integers(m_values, trials, seed):
+    # none is rounded, parsed or left to fail later in range or SeedSequence
+    with pytest.raises(InvalidInputError, match="integers"):
+        SimConfig(truth=TRUTH, profile=PROFILE, m_values=m_values,
+                  trials=trials, seed=seed)
+
+
+def test_config_takes_numpy_integers():
+    cfg = SimConfig(truth=TRUTH, profile=PROFILE,
+                    m_values=np.array([5, 10, 15]), trials=np.int64(100),
+                    seed=np.uint32(3))
+    assert cfg.m_values == (5, 10, 15)
+    assert estimate_exponent(cfg) == estimate_exponent(SimConfig(
+        truth=TRUTH, profile=PROFILE, m_values=(5, 10, 15), trials=100,
+        seed=3))
