@@ -47,18 +47,18 @@ screen clears it, nor a rival that beats the truth.
 The envelopes are scored a span of groups at a time, in one product; then
 each tile of the span screens only the trials that its groups leave open
 and that no earlier tile of the span settled.  The pairs a tile's screen
-cannot clear are scored in float64 against the tile's ratio rows, made
-again from those rivals' sources by ``mixture_probs_table``, bit for bit
-the table's, so every decision is the float64 one.  A trial that no group
-of a span leaves open beats the whole span unscored.  Trials settled
-within a span leave at its end, and the block is compacted only when some
-trial left.
+cannot clear are scored in float64 against those rivals' ratio rows, so
+every decision is the float64 one.  A trial that no group of a span leaves
+open beats the whole span unscored.  Trials settled within a span leave at
+its end, and the block is compacted only when some trial left.
 
-Scoring reads no family table.  ``rival_ratios`` takes from it, in one pass
-over the rivals in scoring order, the first tile's float64 ratio rows, the
-float32 screen rows and group envelopes, each rival's ``B_r`` and source
-rows, and the truth's row and logs, so a caller that drops its table holds
-about half a table of screen rows while the trials are scored.
+Scoring reads no family table.  ``rival_ratios`` takes from it what needs
+the whole family: the rivals' scoring order, their float32 screen rows,
+each rival's ``B_r`` and source rows.  Scoring takes the envelopes from
+the screen rows, and makes the truth's row and logs and every float64
+ratio row from sources by ``mixture_probs_table``, bit for bit the
+table's.  So a caller that drops its table holds about half a table of
+screen rows while the trials are scored.
 
 Sampling is most of the work when the family is small.  Each block of
 trials has its own substream, spawned in order on the calling thread, and
@@ -168,6 +168,8 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     """Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise InvalidInputError("interval requires at least one trial")
+    if not 0 <= successes <= n:
+        raise InvalidInputError(f"successes {successes} outside [0, {n}]")
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -269,42 +271,33 @@ def _nearest_groups_first(nearness: np.ndarray) -> np.ndarray:
 
 
 class RivalRatios(NamedTuple):
-    """What Monte Carlo scoring reads of a family table, in scoring order.
+    """What Monte Carlo scoring needs of a family table, in scoring order.
 
-    ``first`` holds the float64 ratio rows of the first tile's rivals, and
-    ``screen`` and ``envelopes`` every rival's float32 screen row and each
-    group's envelope, both empty when the rivals fit in one tile.
-    ``scale`` is each rival's ``B_r``, and ``sources`` its source rows, from
-    which the float64 rows past the first tile are made again.
-    ``truth_logs`` and ``p_truth`` are the truth's logs and a copy of its
-    row: a view would keep the whole table alive.
+    ``screen`` holds every rival's float32 screen row, empty when the rivals
+    fit in one tile, ``scale`` each rival's ``B_r`` and ``sources`` its
+    source rows, from which scoring makes every float64 ratio row it reads.
     """
 
-    first: np.ndarray
     screen: np.ndarray
-    envelopes: np.ndarray
     scale: np.ndarray
     sources: np.ndarray
-    truth_logs: np.ndarray
-    p_truth: np.ndarray
 
 
 def rival_ratios(table: tuple[np.ndarray, np.ndarray],
                  truth: BinaryMatrix) -> RivalRatios:
-    """What scoring reads of ``table``, a family table holding ``truth``.
+    """What scoring needs of ``table``, a family table holding ``truth``.
 
     Rivals that fit in one tile keep enumeration order: there is no later
     tile to order or screen, and a padded short group would only widen the
     one product.  More are taken nearest group first, by ``log p_r ·
-    p_truth``, and their rows are gathered in one pass of row chunks, in
-    scoring order, into ratios, screen rows and envelopes.  Raises
-    ``InvalidInputError`` when ``table`` does not hold the truth.  Nothing
-    returned refers to the table, so a caller that drops it frees it.
+    p_truth``, and their screen rows are made in one pass of row chunks, in
+    scoring order.  Raises ``InvalidInputError`` when ``table`` does not
+    hold the truth.  Nothing returned refers to the table, so a caller that
+    drops it frees it.
     """
     rows, probs = table
     truth_idx = family_index(table, truth)
-    p_truth = probs[truth_idx].copy()
-    truth_logs = _log_ratios(p_truth.copy(), 0.0)
+    p_truth = probs[truth_idx]
     rivals = np.delete(np.arange(probs.shape[0]), truth_idx)
     screened = rivals.size > _RIVAL_TILE
     if screened:
@@ -313,20 +306,13 @@ def rival_ratios(table: tuple[np.ndarray, np.ndarray],
             nearness[chunk] = _log_ratios(probs[chunk].copy(), 0.0) @ p_truth
         rivals = rivals[_nearest_groups_first(nearness[rivals])]
     scale = _scales(probs, truth_idx, rivals)
-    first = _log_ratios(probs[rivals[:_RIVAL_TILE]], truth_logs)
-    n_screened = rivals.size if screened else 0
-    screen = np.empty((n_screened, probs.shape[1]), dtype=np.float32)
-    envelopes = np.empty((n_screened // _GROUP, probs.shape[1]),
-                         dtype=np.float32)
-    for groups in mixtures.row_chunks(envelopes.shape[0],
-                                      _GROUP * p_truth.nbytes):
-        chunk = slice(groups.start * _GROUP, groups.stop * _GROUP)
+    truth_logs = _log_ratios(p_truth.copy(), 0.0)
+    screen = np.empty((rivals.size if screened else 0, probs.shape[1]),
+                      dtype=np.float32)
+    for chunk in mixtures.row_chunks(screen.shape[0], p_truth.nbytes):
         screen[chunk] = _screen_rows(
             _log_ratios(probs[rivals[chunk]], truth_logs), scale[chunk])
-        envelopes[groups] = screen[chunk].reshape(
-            -1, _GROUP, probs.shape[1]).max(axis=1)
-    return RivalRatios(first, screen, envelopes, scale, rows[rivals],
-                       truth_logs, p_truth)
+    return RivalRatios(screen, scale, rows[rivals])
 
 
 def ml_decide(observations: Sequence[int], profile: FlipProfile,
@@ -438,14 +424,24 @@ def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
     """Errors among ``cfg.trials`` simulated trials, one count per m.
 
     ``rivals`` is ``rival_ratios`` of the truth's family table under
-    ``cfg.profile``, whose channel kernel makes the float64 rows past the
-    first tile again.
+    ``cfg.profile``, whose channel kernel makes the truth's row and every
+    float64 ratio row again, from the sources.
     """
-    first, screen, envelopes, scale, sources, truth_logs, p_truth = rivals
+    screen, scale, sources = rivals
+    kernel = mixtures.channel_kernel(cfg.profile)
+    p_truth = mixtures.mixture_probs_table(
+        np.array([cfg.truth.rows]), kernel)[0]
+    truth_logs = _log_ratios(p_truth.copy(), 0.0)
+
+    def ratio_rows(picked: np.ndarray) -> np.ndarray:
+        return _log_ratios(mixtures.mixture_probs_table(picked, kernel),
+                           truth_logs)
+
+    first = ratio_rows(sources[:_RIVAL_TILE])
     n_rivals = scale.size
     slack = _TIE_RTOL * scale
     if n_rivals > _RIVAL_TILE:
-        kernel = mixtures.channel_kernel(cfg.profile)
+        envelopes = screen.reshape(-1, _GROUP, screen.shape[1]).max(axis=1)
         rival_levels = _clear_levels(slack, scale, screen.shape[1])
         group_levels = _clear_levels(
             2.0 * slack.reshape(-1, _GROUP).max(axis=1),
@@ -506,10 +502,8 @@ def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
                     near = np.flatnonzero(left.any(axis=1))
                     if near.size:
                         trials = trials[left.any(axis=0)]
-                        ratios = _log_ratios(mixtures.mixture_probs_table(
-                            sources[tile][near], kernel), truth_logs)
                         lost[trials] = np.logical_or.reduce(
-                            ratios @ counts[trials].T
+                            ratio_rows(sources[tile][near]) @ counts[trials].T
                             >= -m * slack[tile][near, None], axis=0)
                 per_m[m] += int(np.count_nonzero(lost))
                 start = stop
@@ -522,10 +516,13 @@ def fit_exponent(points: Sequence[tuple[int, float, int]]
                  ) -> tuple[float, tuple[float, float]]:
     """Least-squares slope of -log(error rate) against the sample count.
 
-    ``points`` holds (m, error_rate, trials) with rates strictly inside
-    (0, 1); at least three are required.  The interval propagates the
-    delta-method variance of each log rate through the slope formula.
+    ``points`` holds (m, error_rate, trials), each with at least one trial;
+    at least three rates strictly inside (0, 1), at two or more m, are
+    required.  The interval propagates the delta-method variance of each
+    log rate through the slope formula.
     """
+    if any(n < 1 for _, _, n in points):
+        raise InvalidInputError("every point needs at least one trial")
     usable = [(m, r, n) for m, r, n in points if 0.0 < r < 1.0]
     if len(usable) < 3:
         raise EstimationError(
@@ -533,6 +530,8 @@ def fit_exponent(points: Sequence[tuple[int, float, int]]
             f"got {len(usable)}: "
             + ", ".join(f"m={m}: rate={r:.3g}" for m, r, _ in points)
         )
+    if len({m for m, _, _ in usable}) == 1:
+        raise EstimationError(f"all usable rates share m={usable[0][0]}")
     x = np.array([m for m, _, _ in usable], dtype=float)
     y = np.array([-math.log(r) for _, r, _ in usable])
     var_y = np.array([(1.0 - r) / (n * r) for _, r, n in usable])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -118,6 +119,14 @@ class TestCiCommand:
         with pytest.raises(SystemExit) as err:
             main(["ci", "--bogus"])
         assert err.value.code == 2
+
+    def test_differing_shapes_exit_two(self, tmp_path, capsys):
+        a = write_matrix(tmp_path / "a.txt", [0, 1], 2)
+        b = write_matrix(tmp_path / "b.txt", [0, 1, 3], 2)
+        code, out, err = run_cli(capsys, "ci", "--a", a, "--b", b,
+                                 "--flip", "0.1")
+        assert (code, out) == (2, "")
+        assert "matrix shapes differ: 2x2 vs 3x2" in err
 
 
 class TestBoundsCommand:
@@ -487,6 +496,14 @@ class TestSimulateCommand:
         assert "budget" in err
         assert peak < 64 * 2 ** 20
 
+    def test_bad_m_values_exit_two(self, tmp_path, capsys):
+        truth = write_matrix(tmp_path / "t.txt", [0, 1, 1], 1)
+        code, out, err = run_cli(capsys, "simulate", "--truth", truth,
+                                 "--flip", "0.1", "--m-values", "10,x",
+                                 "--trials", "10", "--seed", "0")
+        assert (code, out) == (2, "")
+        assert "--m-values must be a comma list of ints" in err
+
     def test_estimation_failure_exits_one(self, tmp_path, capsys):
         truth = write_matrix(tmp_path / "t.txt", [0, 1], 1)
         code, _, err = run_cli(capsys, "simulate", "--truth", truth,
@@ -518,6 +535,25 @@ class TestSimulateCommand:
         second = subprocess.run(argv, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.strip()
+
+
+class TestModuleEntryPoint:
+    """``python -m bmmci`` is ``bmmci.cli.main`` run in a process."""
+
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["closest-pair", "--n", "2", "--l", "2", "--flip", "0.3"], 0),
+        (["closest-pair", "--n", "0", "--l", "2", "--flip", "0.3"], 2),
+    ], ids=["answer", "refusal"])
+    def test_matches_main(self, capsys, argv, code):
+        ran = subprocess.run([sys.executable, "-m", "bmmci", *argv],
+                             capture_output=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": self.SRC})
+        in_process, out, _ = run_cli(capsys, *argv)
+        assert (ran.returncode, ran.stdout) == (in_process, out.encode())
+        assert in_process == code
+        assert ran.stderr.startswith(b"error: ") == (code == 2)
 
 
 BIG = "1" + "0" * 400  # 10**400: an int that no float holds

@@ -288,6 +288,11 @@ class TestMatrixText:
         with pytest.raises(InvalidInputError):
             parse_matrix_text("\n")
 
+    def test_rejects_too_many_columns(self):
+        parse_matrix_text("1" * 30 + "\n")
+        with pytest.raises(InvalidInputError, match="31 columns"):
+            parse_matrix_text("1" * 31 + "\n")
+
     @given(st.data())
     def test_matches_per_bit_reference(self, data):
         n_cols = data.draw(st.integers(1, 30))

@@ -496,6 +496,11 @@ class TestRandomPairStream:
         profile = FlipProfile.constant(0.2, 2)
         assert list(random_pair_stream(3, 2, 0, seed=0, profile=profile)) == []
 
+    def test_refuses_negative_count(self):
+        profile = FlipProfile.constant(0.2, 2)
+        with pytest.raises(InvalidInputError, match="count"):
+            list(random_pair_stream(3, 2, -1, seed=0, profile=profile))
+
     def test_infeasible_critical_request(self):
         profile = FlipProfile.constant(0.2, 3)
         with pytest.raises(InvalidInputError):

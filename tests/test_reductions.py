@@ -38,6 +38,18 @@ PARITY_PAIR = make_pair([0, 3], [1, 2], 2, flip=0.3)
 HAMMING_PAIR_L2 = make_pair([0, 1, 1], [0, 0, 1], 2, flip=0.1)
 
 
+class TestMatrixPair:
+    @pytest.mark.parametrize("rows_b,n_cols_b,message", [
+        ([0, 1], 3, "column mismatch: 2 vs 3"),
+        ([0, 1, 2], 2, "row-count mismatch: 2 vs 3"),
+    ])
+    def test_refuses_differing_shapes(self, rows_b, n_cols_b, message):
+        with pytest.raises(InvalidInputError, match=message):
+            MatrixPair(a=canonicalize([0, 3], 2),
+                       b=canonicalize(rows_b, n_cols_b),
+                       profile=FlipProfile.constant(0.1, 2))
+
+
 class TestGMap:
     def test_values(self):
         assert g_map(0.5) == 0.0

@@ -236,6 +236,11 @@ class TestWilsonInterval:
         low, high = wilson_interval(7, 50)
         assert low < 7 / 50 < high
 
+    @pytest.mark.parametrize("successes", [-1, 4, 5])
+    def test_refuses_successes_outside_trials(self, successes):
+        with pytest.raises(InvalidInputError, match="outside"):
+            wilson_interval(successes, 3)
+
 
 class TestFitExponent:
     def test_recovers_exact_decay(self):
@@ -253,6 +258,17 @@ class TestFitExponent:
     def test_rate_one_points_excluded(self):
         points = [(10, 1.0, 100), (20, 1.0, 100), (30, 0.5, 100)]
         with pytest.raises(EstimationError):
+            fit_exponent(points)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_refuses_points_without_trials(self, trials):
+        points = [(1, 0.5, trials), (2, 0.4, 100), (3, 0.3, 100)]
+        with pytest.raises(InvalidInputError, match="trial"):
+            fit_exponent(points)
+
+    def test_one_sample_count_has_no_slope(self):
+        points = [(1, 0.5, 100), (1, 0.4, 100), (1, 0.3, 100), (2, 1.0, 100)]
+        with pytest.raises(EstimationError, match="m=1"):
             fit_exponent(points)
 
 
@@ -400,10 +416,9 @@ class TestErrorCounts:
     @pytest.mark.parametrize("order", [None, simulate._nearest_groups_first])
     def test_ratios_match_whole_table_logs(self, monkeypatch, order):
         # the nearness is summed over row chunks, and the float64 rows that
-        # decide are the first tile's, gathered from the table, and those
-        # made again from the rivals' sources; all must keep the bits of
-        # the logs of the whole table.  One tile of every rival keeps
-        # enumeration order.
+        # decide are made again from the rivals' sources; both must keep
+        # the bits of the logs of the whole table.  One tile of every rival
+        # keeps enumeration order.
         profile = FlipProfile.constant(0.3, 6)
         table = family_table(3, 6, profile, DEFAULT_MAX_MATRICES)
         rows, probs = table
@@ -421,11 +436,9 @@ class TestErrorCounts:
                 rivals = rivals[order((logs @ probs[t])[rivals])]
             got = simulate.rival_ratios(table, family_source(rows, t, 6))
             ratios = logs[rivals] - logs[t]
-            assert np.array_equal(got.first,
-                                  ratios[:simulate._RIVAL_TILE])
             assert np.array_equal(got.sources, rows[rivals])
             remade = simulate._log_ratios(bmmci.mixtures.mixture_probs_table(
-                got.sources, kernel), got.truth_logs)
+                got.sources, kernel), logs[t])
             assert np.array_equal(remade, ratios)
             assert np.array_equal(simulate._TIE_RTOL * got.scale,
                                   simulate._TIE_RTOL
@@ -436,8 +449,6 @@ class TestErrorCounts:
                 # the screen rows, built chunk by chunk, clip these ratios
                 assert np.array_equal(got.screen, simulate._screen_rows(
                     ratios, got.scale))
-                assert np.array_equal(got.envelopes, got.screen.reshape(
-                    -1, simulate._GROUP, 64).max(axis=1))
 
     @pytest.mark.parametrize("n,l,profile", [
         (3, 6, FlipProfile.constant(0.3, 6)),
@@ -856,6 +867,9 @@ class TestEstimateExponent:
         with pytest.raises(InvalidInputError):
             SimConfig(truth=TRUTH, profile=FlipProfile.constant(0.1, 2),
                       m_values=(10,), trials=10, seed=0)
+        with pytest.raises(InvalidInputError, match="non-empty"):
+            SimConfig(truth=TRUTH, profile=PROFILE, m_values=(), trials=10,
+                      seed=0)
 
 
 @pytest.mark.parametrize("m_values,seed,message", [
