@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .mixtures import MixtureDistribution, check_unit
+from .mixtures import MixtureDistribution, check_probs, check_unit
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = 1.0 - _INVPHI
@@ -55,13 +55,18 @@ class ChernoffResult:
 
 
 def _as_probs(dist) -> np.ndarray:
+    """``dist`` as an array; one that is not a ``MixtureDistribution``, and
+    so unchecked, is refused as ``check_probs`` refuses it."""
     if isinstance(dist, MixtureDistribution):
         return dist.probs
-    return np.asarray(dist, dtype=float)
+    probs = np.asarray(dist, dtype=float)
+    check_probs(probs)
+    return probs
 
 
 def _as_prob_pair(p1, p2) -> tuple[np.ndarray, np.ndarray]:
-    """Both distributions as arrays, refused unless their shapes agree."""
+    """Both distributions as arrays, refused unless each is a probability
+    vector and their shapes agree."""
     a1, a2 = _as_probs(p1), _as_probs(p2)
     if a1.shape != a2.shape:
         raise InvalidInputError(f"dimension mismatch: {a1.shape} vs {a2.shape}")

@@ -53,6 +53,20 @@ def check_unit(value: float, name: str) -> None:
         raise InvalidInputError(f"{name} {value!r} outside [0, 1]")
 
 
+def check_probs(probs: np.ndarray) -> None:
+    """Refuse a probability vector with a non-finite or negative entry, or
+    whose sum is not 1 within ``NORMALIZATION_TOL``."""
+    if not np.isfinite(probs).all():
+        raise InvalidInputError("non-finite probability entry")
+    if probs.min(initial=0.0) < 0.0:
+        raise InvalidInputError("negative probability entry")
+    total = float(probs.sum())
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise InvalidInputError(
+            f"probabilities sum to {total!r}, not 1 within "
+            f"{NORMALIZATION_TOL}")
+
+
 def check_profile(profile: FlipProfile, n_cols: int) -> None:
     """Refuse a profile whose length is not the column count."""
     if len(profile) != n_cols:
@@ -186,8 +200,9 @@ class FlipProfile:
 class MixtureDistribution:
     """Dense probability vector over all 2**n_cols outcome words.
 
-    Normalization is asserted, never repaired: a vector that fails to sum
-    to 1 within 1e-12 indicates a bug upstream and is rejected.
+    Normalization is asserted, never repaired: a vector that ``check_probs``
+    refuses (a NaN or infinite entry, a negative one, or a sum off 1 by
+    more than 1e-12) indicates a bug upstream and is rejected.
     """
 
     probs: np.ndarray
@@ -200,13 +215,7 @@ class MixtureDistribution:
                 f"expected {1 << self.n_cols} outcome probabilities, "
                 f"got shape {probs.shape}"
             )
-        if probs.min(initial=0.0) < 0.0:
-            raise InvalidInputError("negative probability entry")
-        if abs(float(probs.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise InvalidInputError(
-                f"probabilities sum to {probs.sum()!r}, not 1 within "
-                f"{NORMALIZATION_TOL}"
-            )
+        check_probs(probs)
         probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)

@@ -249,61 +249,84 @@ def _min_pair(probs, row_blocks,
               images=lambda codes: codes[:0]) -> tuple[tuple, np.ndarray]:
     """Smallest key ``(value, i, j, lambda_star)`` over the pairs of the tiles.
 
-    ``row_blocks`` lists blocks of tiles in increasing i.  A tile
-    ``(rows, c0, c1)`` holds the pairs of sources (rows of ``probs``) with i
-    in ``rows``, a slice or an increasing index array, and j in
-    ``range(c0, c1)``.  A tile below the diagonal (``c1`` at most its first
-    i) keeps every pair; any other keeps only those with j > i.  Row i is
-    the solver's ``p1``.  Returns the key and the codes ``i * M + j``
-    (``_solve``) of every pair solved.
+    ``row_blocks`` lists blocks ``(rows, spans)`` in increasing i.  ``rows``
+    holds sources (rows of ``probs``), a slice or an increasing index array,
+    and each span ``(c0, c1)`` makes a tile of the pairs with i in ``rows``
+    and j in ``range(c0, c1)``.  A tile below the diagonal (``c1`` at most
+    its first i) keeps every pair; any other keeps only those with j > i.
+    Row i is the solver's ``p1``.  Returns the key and the codes
+    ``i * M + j`` (``_solve``) of every pair solved.
 
     Each block first solves its pairs within ``PRUNE_MARGIN`` of zero, up to
     a block that holds a zero; then one batch solves the survivors of the
     tangent bound and the codes ``images`` maps theirs to (module docstring).
+
+    The square roots of the rows the spans meet, from the first c0 to the
+    last c1, are taken once.  Those of a block's rows are taken when the
+    block is scanned and held for its tiles only; each later pass takes
+    them again for the blocks it reads.  So beside ``probs`` the call holds
+    the spanned rows' roots and one block's.
     """
     n = probs.shape[0]
-    sqrt_probs = np.sqrt(probs)
+    base = min(c0 for _, spans in row_blocks for c0, _ in spans)
+    end = max(c1 for _, spans in row_blocks for _, c1 in spans)
+    column_roots = np.sqrt(probs[base:end])
     positions = np.arange(n)
 
-    def coefficients(rows, c0, c1):
-        bhatta = sqrt_probs[rows] @ sqrt_probs[c0:c1].T
-        i = positions[rows]
-        if c0 <= i[-1] and c1 > i[0]:
+    def coefficients(roots, i_rows, c0, c1):
+        """Coefficients of the tile of the rows at ``i_rows``, whose square
+        roots are ``roots``, and the span ``(c0, c1)``."""
+        bhatta = roots @ column_roots[c0 - base:c1 - base].T
+        if c0 <= i_rows[-1] and c1 > i_rows[0]:
             # -1 lies below every coefficient and every threshold
-            bhatta[np.arange(c0, c1) <= i[:, None]] = -1.0
+            bhatta[np.arange(c0, c1) <= i_rows[:, None]] = -1.0
         return bhatta
 
-    def between(tiles, tops, lo, hi):
-        """Codes of the pairs whose coefficient lies in [lo, hi), increasing."""
+    def between(blocks, lo, hi, roots=None):
+        """Codes of the pairs whose coefficient lies in [lo, hi), increasing.
+
+        ``blocks`` lists ``(rows, spans, tops)``, ``tops`` the largest
+        coefficient of each tile.  The rows of each block read are rooted
+        here, unless ``roots`` holds those of the one block given.
+        """
         found = [np.empty(0, dtype=np.int64)]
-        for (rows, c0, c1), top in zip(tiles, tops):
-            if top >= lo:
-                bhatta = coefficients(rows, c0, c1)
-                i, j = np.nonzero((bhatta >= lo) & (bhatta < hi))
-                found.append(positions[rows][i] * n + j + c0)
+        for rows, spans, tops in blocks:
+            if max(tops) < lo:
+                continue
+            held = np.sqrt(probs[rows]) if roots is None else roots
+            i_rows = positions[rows]
+            for (c0, c1), top in zip(spans, tops):
+                if top >= lo:
+                    bhatta = coefficients(held, i_rows, c0, c1)
+                    i, j = np.nonzero((bhatta >= lo) & (bhatta < hi))
+                    found.append(i_rows[i] * n + j + c0)
+            del held
         return np.sort(np.concatenate(found))
 
     # A pair survives when -log BC <= incumbent + PRUNE_MARGIN, so every
     # pair of zero information has BC >= zero_cut.
     zero_cut = math.exp(-PRUNE_MARGIN)
-    best, solved, tiles, tops = (math.inf, math.inf, math.inf, 0.5), [], [], []
-    for block in row_blocks:
-        block_tops = [coefficients(*tile).max() for tile in block]
-        best, codes = _solve(probs, between(block, block_tops, zero_cut,
-                                            math.inf), best)
+    best, solved, scanned = (math.inf, math.inf, math.inf, 0.5), [], []
+    for rows, spans in row_blocks:
+        roots, i_rows = np.sqrt(probs[rows]), positions[rows]
+        block = (rows, spans, [coefficients(roots, i_rows, *span).max()
+                               for span in spans])
+        codes = between([block], zero_cut, math.inf, roots)
+        del roots
+        best, codes = _solve(probs, codes, best)
         solved.append(codes)
         if best[0] == 0.0:  # no earlier block holds a zero
             return best, np.concatenate(solved)
-        tiles += block
-        tops += block_tops
+        scanned.append(block)
     # Any subset of the pairs of largest coefficient gives a bound.
-    top = between(tiles, tops, min(max(tops), zero_cut),
+    top_coefficient = max(max(tops) for _, _, tops in scanned)
+    top = between(scanned, min(top_coefficient, zero_cut),
                   zero_cut)[:_SOLVE_PAIRS]
     bound = float(tangent_bound(probs[top // n], probs[top % n]).min(
         initial=best[0]))
-    codes = between(tiles, tops, math.exp(-(bound + PRUNE_MARGIN)), zero_cut)
+    codes = between(scanned, math.exp(-(bound + PRUNE_MARGIN)), zero_cut)
     # no coefficient pass is left: free the square roots before the solve
-    sqrt_probs = None
+    column_roots = None
     codes = np.sort(np.concatenate(
         (codes, images(np.concatenate(solved + [codes])))))
     best, codes = _solve(probs, codes, best)
@@ -312,8 +335,8 @@ def _min_pair(probs, row_blocks,
 
 def _upper_tiles(heads: np.ndarray, n: int, side: int) -> list:
     """Row blocks of the pairs (i, j > i) with i in ``heads``, j below ``n``."""
-    return [[(block, c0, min(c0 + side, n))
-             for c0 in range(block[0], n, side)]
+    return [(block, [(c0, min(c0 + side, n))
+                     for c0 in range(block[0], n, side)])
             for block in np.array_split(heads, range(side, heads.size, side))]
 
 
@@ -402,7 +425,7 @@ def exact_error_exponent(truth: BinaryMatrix, profile: FlipProfile,
     rows, probs = table
     n, t = rows.shape[0], family_index(table, truth)
     height = max(1, _TILE_MADDS // probs.shape[1])
-    strips = [[(slice(r0, min(r0 + height, stop)), t, t + 1)]
+    strips = [(slice(r0, min(r0 + height, stop)), [(t, t + 1)])
               for start, stop in ((0, t), (t + 1, n))
               for r0 in range(start, stop, height)]
     (value, other, _, _), _ = _min_pair(probs, strips)

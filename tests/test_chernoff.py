@@ -62,6 +62,19 @@ class TestFLambda:
         with pytest.raises(InvalidInputError):
             f_lambda(p, p, 1.5)
 
+    @pytest.mark.parametrize("bad", [
+        [0.7, 0.7], [math.nan, 1.0], [0.5, math.nan], [1.5, -0.5],
+        [math.inf, 0.0],
+    ])
+    def test_refuses_what_a_mixture_refuses(self, bad):
+        # f_lambda and chernoff_info take raw vectors on either side; each
+        # is checked as MixtureDistribution checks its vector
+        good = [0.5, 0.5]
+        for p1, p2 in ((bad, good), (good, bad)):
+            for call in (lambda a, b: f_lambda(a, b, 0.5), chernoff_info):
+                with pytest.raises(InvalidInputError):
+                    call(np.array(p1), np.array(p2))
+
     def test_endpoint_limits(self):
         # f_0 sums p2 over the support of p1
         p1 = np.array([0.5, 0.5, 0.0])

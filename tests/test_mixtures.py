@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 
@@ -205,6 +206,14 @@ class TestMixtureDistribution:
             MixtureDistribution(np.array([0.5, 0.6]), 1)
         with pytest.raises(InvalidInputError):
             MixtureDistribution(np.array([1.1, -0.1]), 1)
+
+    @pytest.mark.parametrize("probs", [
+        [math.nan, 1.0], [0.5, math.nan], [math.inf, 0.0], [1.0, -math.inf],
+    ])
+    def test_rejects_non_finite_vector(self, probs):
+        # NaN fails neither the negative test nor the sum test
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            MixtureDistribution(np.array(probs), 1)
 
 
 def multiset_intersection_size(xs, ys):

@@ -390,7 +390,8 @@ class TestOrbits:
     def test_cap_scale_answer_and_peak(self):
         # the answer was recorded from the full scan over all 1,046,965,920
         # pairs; the table is 45,760 x 64 x 8 bytes, and beside it the scan
-        # holds its square roots, dropped before the final batch
+        # holds the square roots of every row its tiles span, dropped before
+        # the final batch
         profile = FlipProfile.constant(0.3, 6)
         table = 45760 * 64 * 8
         peaks = []
@@ -408,6 +409,17 @@ class TestOrbits:
         assert (res.pair.a.rows, res.pair.b.rows) == ((0, 0, 17), (0, 1, 16))
         assert res.lambda_star == 0.4999165940584744
         assert res.candidates_examined == 1046965920
+
+    def test_orbit_blocks_answer(self):
+        # phase 1 at (4, 5) scans 1,768 orbit-first sources of 52,360 in 20
+        # row blocks of index arrays, each rooted once for its tiles;
+        # recorded when every tile gathered its rows from a rooted table
+        res = closest_pair(4, 5, FlipProfile.constant(0.3, 5))
+        assert repr(res.min_ci) == "0.002052205792546058"
+        assert (res.pair.a.rows, res.pair.b.rows) == ((0, 3, 5, 6),
+                                                      (1, 2, 4, 7))
+        assert res.lambda_star == 0.5000001495732048
+        assert res.pairs_solved == 40
 
     @pytest.mark.parametrize("n,l,flips,a,b", [
         (4, 4, (0.5,) * 4, (0, 0, 0, 0), (0, 0, 0, 1)),
@@ -445,8 +457,8 @@ class TestExactErrorExponent:
                                  FlipProfile.constant(0.1, 2))
 
     def test_peak_above_table_multiple(self):
-        # beside the caller's table the search holds its square roots; in
-        # simulate this phase shares the command's peak
+        # beside the caller's table the strips hold the square roots of the
+        # truth's row and of one strip of 4,096 rows, not of the whole table
         profile = FlipProfile.constant(0.2, 6)
         truth = parse_matrix_text("000000\n101000\n100100\n")
         table = family_table(3, 6, profile, 10 ** 6)
@@ -456,7 +468,7 @@ class TestExactErrorExponent:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * table[1].nbytes
+        assert peak <= 0.15 * table[1].nbytes
 
     @pytest.mark.parametrize("n,l", [(3, 1), (2, 2)])
     def test_truth_outside_table(self, n, l):
