@@ -276,7 +276,7 @@ def _cmd_simulate(args) -> dict:
                          args.max_matrices)
     d_exact, nearest = exact_error_exponent(truth, profile, table=table)
     rivals = rival_ratios(table, truth)
-    # scoring holds the screen rows, not the family table as well
+    # scoring makes its screen rows once the table is let go of
     del table
     estimate = estimate_exponent(cfg, rivals=rivals)
     return {

@@ -66,6 +66,9 @@ def count_matrices(n_rows: int, n_cols: int) -> int:
 
 def _family_size(n_rows: int, n_cols: int, max_matrices: int) -> int:
     check_shape(n_rows, n_cols)
+    if max_matrices < 1:
+        raise InvalidInputError(
+            f"the matrix cap must be at least 1, got {max_matrices}")
     total = count_matrices(n_rows, n_cols)
     if total > max_matrices:
         raise ResourceLimitError(

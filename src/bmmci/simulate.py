@@ -20,7 +20,8 @@ error exactly when some rival ties or beats the truth, the order cannot
 change the counts (rivals that fit in one tile keep enumeration order).
 Every product is rival-major, (rivals, trials), so "some rival reaches its
 threshold" ORs whole rows of trials together.  The first tile is scored
-directly, in float64.
+directly, in float64, a few trials at a time, so that its product stays
+small beside the trial block.
 
 Past it, most trials are won by the truth, and they are cleared by float32
 screens whose rounding is certified.  A rival's screen row is its ratio row
@@ -52,13 +53,14 @@ every decision is the float64 one.  A trial that no group of a span leaves
 open beats the whole span unscored.  Trials settled within a span leave at
 its end, and the block is compacted only when some trial left.
 
-Scoring reads no family table.  ``rival_ratios`` takes from it what needs
-the whole family: the rivals' scoring order, their float32 screen rows,
-each rival's ``B_r`` and source rows.  Scoring takes the envelopes from
-the screen rows, and makes the truth's row and logs and every float64
-ratio row from sources by ``mixture_probs_table``, bit for bit the
-table's.  So a caller that drops its table holds about half a table of
-screen rows while the trials are scored.
+Scoring reads no family table.  ``rival_ratios`` takes from it, in one
+pass of row chunks, what needs the whole family: the rivals' scoring
+order, each rival's ``B_r`` and its source rows.  Scoring makes the
+truth's row and logs, every float32 screen row and every float64 ratio
+row from sources by ``mixture_probs_table``, bit for bit the table's; the
+screen rows are made in row chunks while the first blocks are drawn.  So
+a caller that drops its table before scoring never holds the table and
+the screen rows (half a table) at once.
 
 Sampling is most of the work when the family is small.  Each block of
 trials has its own substream, spawned in order on the calling thread, and
@@ -122,6 +124,9 @@ _TIE_RTOL = 1e-12
 # The unit roundoff of float32, whose screens clear the trials that the
 # truth wins past the first tile.
 _U32 = 2.0 ** -24
+# The first tile is scored in float64 over this many product bytes at a
+# time: 1,024 trials against a full tile, a quarter of a trial block.
+_FIRST_PRODUCT_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -206,17 +211,15 @@ def _log_ratios(rows: np.ndarray, truth_logs: np.ndarray | float
     return rows
 
 
-def _scales(probs: np.ndarray, truth_idx: int,
-            rivals: np.ndarray) -> np.ndarray:
-    """``B_r = magnitude_r + magnitude_truth`` for each rival in ``rivals``.
+def _magnitudes(probs: np.ndarray) -> np.ndarray:
+    """``1 + max |log p|`` of each row of ``probs``, over its support only.
 
-    A magnitude is ``1 + max |log p|`` over the source's support only: a
-    sentinel entry is met by zero counts (exact) or decides the trial by
-    far more than any slack.  ``_TIE_RTOL * B_r`` is the rival's tie slack.
+    A sentinel entry is met by zero counts (exact) or decides the trial by
+    far more than any slack.  A rival's ``B_r`` is its magnitude plus the
+    truth's, and ``_TIE_RTOL * B_r`` is its tie slack.
     """
-    magnitude = 1.0 - np.log(np.min(probs, axis=1, where=probs > 0.0,
-                                    initial=np.inf))
-    return magnitude[rivals] + magnitude[truth_idx]
+    return 1.0 - np.log(np.min(probs, axis=1, where=probs > 0.0,
+                               initial=np.inf))
 
 
 def _screen_lambda(n_outcomes: int) -> float:
@@ -273,12 +276,11 @@ def _nearest_groups_first(nearness: np.ndarray) -> np.ndarray:
 class RivalRatios(NamedTuple):
     """What Monte Carlo scoring needs of a family table, in scoring order.
 
-    ``screen`` holds every rival's float32 screen row, empty when the rivals
-    fit in one tile, ``scale`` each rival's ``B_r`` and ``sources`` its
-    source rows, from which scoring makes every float64 ratio row it reads.
+    ``scale`` holds each rival's ``B_r`` and ``sources`` its source rows,
+    from which scoring makes every float32 screen row and float64 ratio row
+    it reads.
     """
 
-    screen: np.ndarray
     scale: np.ndarray
     sources: np.ndarray
 
@@ -287,32 +289,29 @@ def rival_ratios(table: tuple[np.ndarray, np.ndarray],
                  truth: BinaryMatrix) -> RivalRatios:
     """What scoring needs of ``table``, a family table holding ``truth``.
 
-    Rivals that fit in one tile keep enumeration order: there is no later
-    tile to order or screen, and a padded short group would only widen the
-    one product.  More are taken nearest group first, by ``log p_r ·
-    p_truth``, and their screen rows are made in one pass of row chunks, in
-    scoring order.  Raises ``InvalidInputError`` when ``table`` does not
-    hold the truth.  Nothing returned refers to the table, so a caller that
-    drops it frees it.
+    One pass of row chunks over the table gives each source's magnitude
+    and, when the rivals need more than one tile, its nearness ``log p_r ·
+    p_truth``.  Rivals that fit in one tile keep enumeration order: there
+    is no later tile to order or screen, and a padded short group would
+    only widen the one product.  More are taken nearest group first.
+    Raises ``InvalidInputError`` when ``table`` does not hold the truth.
+    Nothing returned refers to the table, and nothing returned is
+    table-sized, so a caller that drops the table frees it.
     """
     rows, probs = table
     truth_idx = family_index(table, truth)
     p_truth = probs[truth_idx]
     rivals = np.delete(np.arange(probs.shape[0]), truth_idx)
     screened = rivals.size > _RIVAL_TILE
-    if screened:
-        nearness = np.empty(probs.shape[0])
-        for chunk in mixtures.row_chunks(probs.shape[0], p_truth.nbytes):
+    magnitude = np.empty(probs.shape[0])
+    nearness = np.empty(probs.shape[0])
+    for chunk in mixtures.row_chunks(probs.shape[0], p_truth.nbytes):
+        magnitude[chunk] = _magnitudes(probs[chunk])
+        if screened:
             nearness[chunk] = _log_ratios(probs[chunk].copy(), 0.0) @ p_truth
+    if screened:
         rivals = rivals[_nearest_groups_first(nearness[rivals])]
-    scale = _scales(probs, truth_idx, rivals)
-    truth_logs = _log_ratios(p_truth.copy(), 0.0)
-    screen = np.empty((rivals.size if screened else 0, probs.shape[1]),
-                      dtype=np.float32)
-    for chunk in mixtures.row_chunks(screen.shape[0], p_truth.nbytes):
-        screen[chunk] = _screen_rows(
-            _log_ratios(probs[rivals[chunk]], truth_logs), scale[chunk])
-    return RivalRatios(screen, scale, rows[rivals])
+    return RivalRatios(magnitude[rivals] + magnitude[truth_idx], rows[rivals])
 
 
 def ml_decide(observations: Sequence[int], profile: FlipProfile,
@@ -339,7 +338,8 @@ def ml_decide(observations: Sequence[int], profile: FlipProfile,
     ratios = _log_ratios(probs[rivals],
                          _log_ratios(probs[truth_idx].copy(), 0.0))
     scores = ratios @ counts
-    slack = _TIE_RTOL * _scales(probs, truth_idx, rivals)
+    magnitude = _magnitudes(probs)
+    slack = _TIE_RTOL * (magnitude[rivals] + magnitude[truth_idx])
     correct = bool(np.all(scores < -words.size * slack))
     chosen = int(np.argmax(np.insert(scores, truth_idx, 0.0)))
     return family_source(rows, chosen, n_cols), correct
@@ -374,9 +374,7 @@ def _draw(seed: np.random.SeedSequence, m: int, p_truth: np.ndarray,
     return counts
 
 
-def _drawn_blocks(p_truth: np.ndarray,
-                  jobs: Iterable[tuple[np.random.SeedSequence, int, int]]
-                  ) -> Iterator[tuple[int, np.ndarray]]:
+class _DrawnBlocks:
     """Each job's ``(m, block)`` in job order, drawn on a thread pool.
 
     A job ``(seed, m, n)`` is the block ``_draw(seed, m, p_truth, n)``, and
@@ -385,49 +383,65 @@ def _drawn_blocks(p_truth: np.ndarray,
     ``workers + 1`` full blocks (``8 * _TRIAL_BLOCK * 2**L`` bytes each)
     fit in the budget of ``check_budget``, and at least one.  A worker
     starts only when a job is submitted while none is idle, so k jobs start
-    at most min(k, workers) of them.  A draw's exception is raised in its
-    job's turn.  At most one job more than there are workers is submitted
-    ahead of the block last yielded, each holding one block: the int64
-    draw, which the caller casts.  Finishing or closing the generator
-    cancels the jobs no worker has started and joins the workers.  The
-    workers are not daemons: were the generator never closed, the
-    interpreter's exit would join them after at most ``workers + 1``
-    pending draws.
+    at most min(k, workers) of them.  The first jobs are submitted as the
+    object is made, so they are drawn while the caller prepares to score.
+    A draw's exception is raised in its job's turn.  At most one job more
+    than there are workers is submitted ahead of the block last taken, each
+    holding one block: the int64 draw, which the caller casts.  ``close``
+    cancels the jobs no worker has started and joins the workers; a caller
+    closes it however it leaves, with ``contextlib.closing``.  The workers
+    are not daemons: were it never closed, the interpreter's exit would
+    join them after at most ``workers + 1`` pending draws.
     """
-    n_workers = max(1, min(_cpu_count(), mixtures._BUDGET_BYTES
-                           // (8 * _TRIAL_BLOCK * p_truth.size) - 1))
-    pool = ThreadPoolExecutor(n_workers)
-    jobs = iter(jobs)
-    ahead = deque()  # (m, future) of each job submitted, not yet yielded
 
-    def top_up() -> None:
-        for seed, m, n in islice(jobs, n_workers + 1 - len(ahead)):
-            ahead.append((m, pool.submit(_draw, seed, m, p_truth, n)))
+    def __init__(self, p_truth: np.ndarray,
+                 jobs: Iterable[tuple[np.random.SeedSequence, int, int]]
+                 ) -> None:
+        self._p_truth = p_truth
+        self._jobs = iter(jobs)
+        self._workers = max(1, min(_cpu_count(), mixtures._BUDGET_BYTES
+                                   // (8 * _TRIAL_BLOCK * p_truth.size) - 1))
+        self._ahead = deque()  # (m, future) of each job submitted, not taken
+        self._pool = ThreadPoolExecutor(self._workers)
+        try:
+            self._top_up()
+        except BaseException:
+            self.close()
+            raise
 
-    def take() -> tuple[int, np.ndarray]:
-        m, future = ahead.popleft()
-        top_up()
+    def _top_up(self) -> None:
+        for seed, m, n in islice(self._jobs,
+                                 self._workers + 1 - len(self._ahead)):
+            self._ahead.append((m, self._pool.submit(
+                _draw, seed, m, self._p_truth, n)))
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        return self
+
+    def __next__(self) -> tuple[int, np.ndarray]:
+        if not self._ahead:
+            raise StopIteration
+        # the future is dropped on return, so a block the caller casts or
+        # compacts is freed as it drops it
+        m, future = self._ahead.popleft()
+        self._top_up()
         return m, future.result()
 
-    try:
-        top_up()
-        while ahead:
-            # yielding take()'s result keeps no reference to the block
-            # here, so a block the caller casts or compacts is freed as it
-            # drops it
-            yield take()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    def close(self) -> None:
+        self._pool.shutdown(cancel_futures=True)
 
 
 def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
     """Errors among ``cfg.trials`` simulated trials, one count per m.
 
     ``rivals`` is ``rival_ratios`` of the truth's family table under
-    ``cfg.profile``, whose channel kernel makes the truth's row and every
-    float64 ratio row again, from the sources.
+    ``cfg.profile``, whose channel kernel makes the truth's row, every
+    float32 screen row and every float64 ratio row again, from the sources.
+    The screen rows are made in row chunks once the first blocks are
+    submitted, so a caller that dropped its table holds no table-sized
+    array while they are made.
     """
-    screen, scale, sources = rivals
+    scale, sources = rivals
     kernel = mixtures.channel_kernel(cfg.profile)
     p_truth = mixtures.mixture_probs_table(
         np.array([cfg.truth.rows]), kernel)[0]
@@ -437,15 +451,8 @@ def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
         return _log_ratios(mixtures.mixture_probs_table(picked, kernel),
                            truth_logs)
 
-    first = ratio_rows(sources[:_RIVAL_TILE])
     n_rivals = scale.size
     slack = _TIE_RTOL * scale
-    if n_rivals > _RIVAL_TILE:
-        envelopes = screen.reshape(-1, _GROUP, screen.shape[1]).max(axis=1)
-        rival_levels = _clear_levels(slack, scale, screen.shape[1])
-        group_levels = _clear_levels(
-            2.0 * slack.reshape(-1, _GROUP).max(axis=1),
-            scale.reshape(-1, _GROUP).max(axis=1), screen.shape[1])
     n_blocks = (cfg.trials + _TRIAL_BLOCK - 1) // _TRIAL_BLOCK
     point_streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.m_values))
     jobs = ((point_stream.spawn(1)[0], m,
@@ -453,14 +460,31 @@ def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
             for m, point_stream in zip(cfg.m_values, point_streams)
             for block in range(n_blocks))
     per_m = dict.fromkeys(cfg.m_values, 0)
-    with closing(_drawn_blocks(p_truth, jobs)) as blocks:
+    with closing(_DrawnBlocks(p_truth, jobs)) as blocks:
+        # the rows are made while the first blocks are drawn
+        first = ratio_rows(sources[:_RIVAL_TILE])
+        # trials per float64 product of the first tile
+        step = max(1, _FIRST_PRODUCT_BYTES // (8 * first.shape[0]))
+        if n_rivals > _RIVAL_TILE:
+            screen = np.empty((n_rivals, p_truth.size), dtype=np.float32)
+            for chunk in mixtures.row_chunks(n_rivals, p_truth.nbytes):
+                screen[chunk] = _screen_rows(ratio_rows(sources[chunk]),
+                                             scale[chunk])
+            envelopes = screen.reshape(-1, _GROUP, p_truth.size).max(axis=1)
+            rival_levels = _clear_levels(slack, scale, p_truth.size)
+            group_levels = _clear_levels(
+                2.0 * slack.reshape(-1, _GROUP).max(axis=1),
+                scale.reshape(-1, _GROUP).max(axis=1), p_truth.size)
         for m, counts in blocks:
             # with m == 0 every count is 0, so every rival ties: all errors
             counts = counts.astype(float)
             # rival-major scores: "some rival reaches its threshold" ORs
             # whole rows of trials together
-            lost = np.logical_or.reduce(
-                first @ counts.T >= -m * slack[:_RIVAL_TILE, None], axis=0)
+            lost = np.empty(counts.shape[0], dtype=bool)
+            for lo in range(0, counts.shape[0], step):
+                lost[lo:lo + step] = np.logical_or.reduce(
+                    first @ counts[lo:lo + step].T
+                    >= -m * slack[:_RIVAL_TILE, None], axis=0)
             per_m[m] += int(np.count_nonzero(lost))
             if n_rivals <= _RIVAL_TILE:
                 continue

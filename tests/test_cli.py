@@ -201,6 +201,22 @@ class TestClosestPairCommand:
         assert str(100001 * 8 * 100000) in err
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["closest-pair", "verify", "simulate"])
+    def test_cap_below_one_exits_two(self, tmp_path, capsys, command, cap):
+        # no family fits under such a cap, so it is refused as input, not
+        # as a family too large for it
+        if command == "simulate":
+            argv = [command, "--truth",
+                    write_matrix(tmp_path / "t.txt", [0, 1, 1], 3),
+                    "--flip", "0.1", "--m-values", "5,10,15", "--trials",
+                    "10", "--seed", "0"]
+        else:
+            argv = [command, "--n", "2", "--l", "3", "--flip", "0.1"]
+        code, _, err = run_cli(capsys, *argv, "--max-matrices", cap)
+        assert code == 2
+        assert f"cap must be at least 1, got {cap}" in err
+
     @pytest.mark.parametrize("command", ["closest-pair", "verify"])
     def test_zero_threads_flag(self, capsys, command):
         code, _, err = run_cli(capsys, command, "--n", "2", "--l", "1",

@@ -395,7 +395,9 @@ class TestErrorCounts:
 
     @pytest.mark.parametrize("n,l,profile", REFERENCE_GRID)
     def test_matches_unscreened_reference(self, monkeypatch, n, l, profile):
-        # blocks of 300 make 1,000 trials four blocks, the last one short
+        # blocks of 300 make 1,000 trials four blocks, the last one short;
+        # the first tile is scored 97 trials at a time against a full tile
+        # (more against a short one), so a full block is four products
         monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 300)
         table = family_table(n, l, profile, DEFAULT_MAX_MATRICES)
         rows, _ = table
@@ -408,6 +410,8 @@ class TestErrorCounts:
                     SPAN_SHAPES, itertools.cycle(WORKER_COUNTS)):
                 monkeypatch.setattr(simulate, "_GROUP", group)
                 monkeypatch.setattr(simulate, "_RIVAL_TILE", tile)
+                monkeypatch.setattr(simulate, "_FIRST_PRODUCT_BYTES",
+                                    8 * tile * 97)
                 monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
                 assert simulate._error_counts(
                     cfg, simulate.rival_ratios(table, cfg.truth)
@@ -415,16 +419,24 @@ class TestErrorCounts:
 
     @pytest.mark.parametrize("order", [None, simulate._nearest_groups_first])
     def test_ratios_match_whole_table_logs(self, monkeypatch, order):
-        # the nearness is summed over row chunks, and the float64 rows that
-        # decide are made again from the rivals' sources; both must keep
-        # the bits of the logs of the whole table.  One tile of every rival
-        # keeps enumeration order.
+        # the nearness is summed over row chunks, and scoring makes the
+        # float64 rows that decide and the float32 screen rows again from
+        # the rivals' sources, chunk by chunk; all must keep the bits of
+        # the logs of the whole table.  One tile of every rival keeps
+        # enumeration order and makes no screen rows.
         profile = FlipProfile.constant(0.3, 6)
         table = family_table(3, 6, profile, DEFAULT_MAX_MATRICES)
         rows, probs = table
         assert probs.nbytes > 2 * bmmci.mixtures._CHUNK_BYTES
         if order is None:
             monkeypatch.setattr(simulate, "_RIVAL_TILE", probs.shape[0])
+        screen_rows, made = simulate._screen_rows, []
+
+        def recorded(ratios, scale):
+            made.append(screen_rows(ratios, scale))
+            return made[-1]
+
+        monkeypatch.setattr(simulate, "_screen_rows", recorded)
         kernel = bmmci.mixtures.channel_kernel(profile)
         with np.errstate(divide="ignore"):
             logs = np.maximum(np.log(probs), simulate._LOG_ZERO)
@@ -434,7 +446,8 @@ class TestErrorCounts:
             rivals = np.delete(np.arange(probs.shape[0]), t)
             if order is not None:
                 rivals = rivals[order((logs @ probs[t])[rivals])]
-            got = simulate.rival_ratios(table, family_source(rows, t, 6))
+            truth = family_source(rows, t, 6)
+            got = simulate.rival_ratios(table, truth)
             ratios = logs[rivals] - logs[t]
             assert np.array_equal(got.sources, rows[rivals])
             remade = simulate._log_ratios(bmmci.mixtures.mixture_probs_table(
@@ -443,12 +456,16 @@ class TestErrorCounts:
             assert np.array_equal(simulate._TIE_RTOL * got.scale,
                                   simulate._TIE_RTOL
                                   * (magnitude[rivals] + magnitude[t]))
+            made.clear()
+            simulate._error_counts(
+                SimConfig(truth=truth, profile=profile, m_values=(0,),
+                          trials=1, seed=0), got)
             if order is None:
-                assert got.screen.shape[0] == 0
+                assert made == []
             else:
-                # the screen rows, built chunk by chunk, clip these ratios
-                assert np.array_equal(got.screen, simulate._screen_rows(
-                    ratios, got.scale))
+                # the screen rows clip these ratios
+                assert np.array_equal(np.concatenate(made),
+                                      screen_rows(ratios, got.scale))
 
     @pytest.mark.parametrize("n,l,profile", [
         (3, 6, FlipProfile.constant(0.3, 6)),
@@ -556,8 +573,8 @@ class TestScreenCertificate:
             probs = np.vstack([draw(48, 0.125), near])
             truth_logs = simulate._log_ratios(p_truth.copy(), 0.0)
             ratios = simulate._log_ratios(probs.copy(), truth_logs)
-            scale = simulate._scales(np.vstack([probs, p_truth]),
-                                     probs.shape[0], np.arange(len(probs)))
+            magnitude = simulate._magnitudes(np.vstack([probs, p_truth]))
+            scale = magnitude[:-1] + magnitude[-1]
             counts = rng.multinomial(m, p_truth, size=64).astype(float)
             # eight rows whose float64 score on one trial lies within a few
             # units in the last place of the threshold, either side: a
@@ -611,12 +628,12 @@ class TestCommandMemory:
 
     @staticmethod
     def watch_table(monkeypatch, module):
-        """Patch ``module.family_table`` and ``simulate._drawn_blocks``.
+        """Patch ``module.family_table`` and ``simulate._DrawnBlocks``.
 
         Returns a list that gets, as each block is scored, whether the
         probabilities of any table built so far are still alive.
         """
-        build, draw = module.family_table, simulate._drawn_blocks
+        build, draw = module.family_table, simulate._DrawnBlocks
         refs, alive = [], []
 
         def family_table(*args):
@@ -631,14 +648,15 @@ class TestCommandMemory:
                     yield block
 
         monkeypatch.setattr(module, "family_table", family_table)
-        monkeypatch.setattr(simulate, "_drawn_blocks", drawn_blocks)
+        monkeypatch.setattr(simulate, "_DrawnBlocks", drawn_blocks)
         return alive
 
     def test_peak_within_table_multiple(self, monkeypatch, capsys):
         # the exact exponent holds the table and the square roots of one
-        # strip of rows (1.15x traced), then the screen rows are built beside
-        # the table (1.65x); scoring holds the screen rows, their envelopes,
-        # two workers' blocks and one span's product
+        # strip of rows, and rival_ratios the table and the rivals' source
+        # rows (1.16x traced each); scoring makes the screen rows once the
+        # table is gone, and holds them, their envelopes, three blocks in
+        # flight and one span's product (1.16x)
         monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
         tracemalloc.start()
         try:
@@ -647,7 +665,7 @@ class TestCommandMemory:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= 1.75 * self.TABLE_BYTES
+        assert peak <= 1.25 * self.TABLE_BYTES
 
     def test_command_lets_go_of_table(self, monkeypatch, capsys):
         alive = self.watch_table(monkeypatch, bmmci.cli)
@@ -682,7 +700,7 @@ class TestDrawnBlocks:
 
         def consume():
             try:
-                with closing(simulate._drawn_blocks(
+                with closing(simulate._DrawnBlocks(
                         self.P, draw_jobs(60, taken))) as blocks:
                     for m, block in blocks:
                         # the block yielded and at most workers + 1 ahead
@@ -718,8 +736,8 @@ class TestDrawnBlocks:
 
         monkeypatch.setattr(simulate, "_draw", counted)
         before = threading.active_count()
-        with closing(simulate._drawn_blocks(self.P,
-                                            draw_jobs(100))) as blocks:
+        with closing(simulate._DrawnBlocks(self.P,
+                                           draw_jobs(100))) as blocks:
             assert next(blocks)[0] == 0
         assert threading.active_count() == before
         assert len(started) <= 4
@@ -727,7 +745,7 @@ class TestDrawnBlocks:
     def test_workers_start_only_for_submitted_jobs(self, monkeypatch):
         monkeypatch.setattr(simulate, "_cpu_count", lambda: 7)
         before = threading.active_count()
-        with closing(simulate._drawn_blocks(self.P, draw_jobs(1))) as blocks:
+        with closing(simulate._DrawnBlocks(self.P, draw_jobs(1))) as blocks:
             assert next(blocks)[0] == 0
             assert threading.active_count() <= before + 1
         assert threading.active_count() == before
@@ -752,7 +770,7 @@ class TestDrawnBlocks:
         seeds = np.random.SeedSequence(3).spawn(30)
         before = threading.active_count()
         taken = []
-        with closing(simulate._drawn_blocks(
+        with closing(simulate._DrawnBlocks(
                 self.P, draw_jobs(30, taken))) as blocks:
             for m, block in blocks:
                 assert threading.active_count() <= before + workers
@@ -774,7 +792,7 @@ class TestDrawnBlocks:
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
         p = np.full(1 << 13, 2.0 ** -13)
-        with closing(simulate._drawn_blocks(p, draw_jobs(2))) as blocks:
+        with closing(simulate._DrawnBlocks(p, draw_jobs(2))) as blocks:
             assert [m for m, _ in blocks] == [0, 1]
         assert pools == [3]
 
@@ -796,6 +814,34 @@ class TestDrawnBlocks:
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="draw failed") as failure:
             error_counts(TRUTH, PROFILE, (5, 10), 3000, 1)
+        # while the caller holds the traceback, and the frames with it
+        assert threading.active_count() == before, failure
+
+    def test_screen_build_error_stops_workers(self, monkeypatch):
+        # the first draws are submitted before the screen rows are made,
+        # which fail at their first chunk: the third row build, after the
+        # truth's row and the first tile's
+        truth = canonicalize([0, 3, 5], 4)
+        profile = FlipProfile.constant(0.2, 4)
+        table = family_table(3, 4, profile, DEFAULT_MAX_MATRICES)
+        rivals = simulate.rival_ratios(table, truth)
+        assert rivals.scale.size > simulate._RIVAL_TILE
+        cfg = SimConfig(truth=truth, profile=profile, m_values=(5, 10),
+                        trials=3000, seed=1)
+        monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 300)
+        build, threads = bmmci.mixtures.mixture_probs_table, []
+
+        def failing(rows_table, kernel):
+            threads.append(threading.active_count())
+            if len(threads) == 3:
+                raise RuntimeError("build failed")
+            return build(rows_table, kernel)
+
+        monkeypatch.setattr(bmmci.mixtures, "mixture_probs_table", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="build failed") as failure:
+            simulate._error_counts(cfg, rivals)
+        assert threads[-1] > before
         # while the caller holds the traceback, and the frames with it
         assert threading.active_count() == before, failure
 
