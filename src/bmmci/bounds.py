@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .chernoff import bernoulli_ci, two_point_ci
 from .exceptions import InvalidInputError, UnsupportedRegimeError
 from .mixtures import (FlipProfile, check_budget, check_cols, check_profile,
-                       check_shape, check_unit)
+                       check_shape, check_unit, decimal_text)
 from .reductions import MatrixPair, epsilon_gap, pair_ci, parity_words
 
 REGIME_LOW_NOISE_ODD = "low_noise_odd"
@@ -93,7 +93,7 @@ def _check_pair(n_rows: int, n_cols: int) -> None:
     """Refuse a pair too wide for a source or too tall for the budget,
     before any row is built."""
     check_cols(n_cols)
-    check_budget(n_rows * _ROW_BYTES, f"a pair of {n_rows} rows")
+    check_budget(n_rows * _ROW_BYTES, f"a pair of {decimal_text(n_rows)} rows")
 
 
 def _eta(flip: float, n_rows: int) -> float:

@@ -42,9 +42,9 @@ from .oracle import (
     DEFAULT_MAX_MATRICES,
     closest_pair,
     exact_error_exponent,
-    family_table,
+    family_rows,
 )
-from .simulate import SimConfig, estimate_exponent, rival_ratios
+from .simulate import SimConfig, estimate_exponent
 
 SCHEMA_VERSION = 1
 _THREADS_HELP = "checked to be >= 1; results never depended on it"
@@ -272,13 +272,9 @@ def _cmd_simulate(args) -> dict:
         raise CliUsageError(f"--m-values must be a comma list of ints: {exc}")
     cfg = SimConfig(truth=truth, profile=profile, m_values=m_values,
                     trials=args.trials, seed=args.seed)
-    table = family_table(truth.n_rows, truth.n_cols, profile,
-                         args.max_matrices)
-    d_exact, nearest = exact_error_exponent(truth, profile, table=table)
-    rivals = rival_ratios(table, truth)
-    # scoring makes its screen rows once the table is let go of
-    del table
-    estimate = estimate_exponent(cfg, rivals=rivals)
+    rows = family_rows(truth.n_rows, truth.n_cols, args.max_matrices)
+    d_exact, nearest = exact_error_exponent(truth, profile, rows=rows)
+    estimate = estimate_exponent(cfg, rows=rows)
     return {
         "truth": _matrix_lines(truth),
         "profile": profile.flips,

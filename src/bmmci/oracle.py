@@ -37,6 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .bounds import _check_pair
 from .chernoff import chernoff_info  # noqa: F401  looked up by bench/spans.py
 from .chernoff import chernoff_info_batch, tangent_bound
 from .exceptions import InvalidInputError, ResourceLimitError
@@ -163,47 +164,56 @@ def enumerate_matrices(n_rows: int, n_cols: int,
         yield BinaryMatrix(tuple(rows), n_cols)
 
 
+def _check_table(n_sources: int, n_rows: int, n_cols: int) -> None:
+    """Charge a family table of ``n_sources`` N-row, L-column sources, or
+    its (M, N) rows array if larger, to the budget of ``check_budget``."""
+    check_budget(n_sources * 8 * max(n_rows, 1 << n_cols),
+                 f"the family table for N={n_rows}, L={n_cols}")
+
+
+def family_rows(n_rows: int, n_cols: int,
+                max_matrices: int = DEFAULT_MAX_MATRICES) -> np.ndarray:
+    """``canonical_rows``, refused with ``ResourceLimitError`` before
+    anything is built when their family table would pass the budget."""
+    _check_table(_family_size(n_rows, n_cols, max_matrices), n_rows, n_cols)
+    return canonical_rows(n_rows, n_cols, max_matrices)
+
+
 def family_table(n_rows: int, n_cols: int, profile: FlipProfile,
                  max_matrices: int) -> tuple[np.ndarray, np.ndarray]:
     """Every canonical source with its channel-output distribution.
 
     Returns ``(rows, probs)`` in enumeration order: ``rows`` is
-    ``canonical_rows`` and ``probs[i]`` is the mixture vector of source
+    ``family_rows`` and ``probs[i]`` is the mixture vector of source
     ``rows[i]`` over the 2**L outcome words.  A profile whose length is not
-    L raises ``InvalidInputError``.  A table or an (M, N) rows array over
-    the budget of ``check_budget`` raises ``ResourceLimitError`` before
-    anything is built.  The shifted kernels, at most (2**L, 2**L), are
-    gathered through an int64 index of their shape, and neither is larger
-    than the table, since M >= 2**L.  At its peak the call holds the rows,
-    the table and the shifted kernels, beside one row chunk's gather.
+    L raises ``InvalidInputError``, and a table over the budget
+    ``ResourceLimitError`` (``family_rows``), before anything is built.
+    The shifted kernels, at most (2**L, 2**L), are gathered through an
+    int64 index of their shape, and neither is larger than the table, since
+    M >= 2**L.  At its peak the call holds the rows, the table and the
+    shifted kernels, beside one row chunk's gather.
     """
     check_profile(profile, n_cols)
-    check_budget(_family_size(n_rows, n_cols, max_matrices) * 8
-                 * max(n_rows, 1 << n_cols),
-                 f"the family table for N={n_rows}, L={n_cols}")
-    rows = canonical_rows(n_rows, n_cols, max_matrices)
+    rows = family_rows(n_rows, n_cols, max_matrices)
     return rows, mixture_probs_table(rows, channel_kernel(profile))
 
 
-def family_index(table: tuple[np.ndarray, np.ndarray],
-                 source: BinaryMatrix) -> int:
-    """Position of ``source`` in a ``family_table``.
-
-    Raises ``InvalidInputError`` when the table does not hold it.
-    """
-    rows, probs = table
-    if rows.shape[1] == source.n_rows and probs.shape[1] == 1 << source.n_cols:
+def family_index(rows: np.ndarray, source: BinaryMatrix) -> int:
+    """Position of ``source`` in ``rows``, the ``family_rows`` of its
+    shape; ``InvalidInputError`` when they are not, or lack it."""
+    if (rows.shape[1] == source.n_rows
+            and rows.shape[0] == count_matrices(source.n_rows, source.n_cols)):
         hits = np.flatnonzero((rows == source.rows).all(axis=1))
         if hits.size:
             return int(hits[0])
     raise InvalidInputError(
-        f"the {source.n_rows}x{source.n_cols} source is not in a family table "
-        f"of {rows.shape[1]}-row sources over {probs.shape[1]} outcomes"
+        f"the {source.n_rows}x{source.n_cols} source is not in a family of "
+        f"{rows.shape[0]} {rows.shape[1]}-row sources"
     )
 
 
 def family_source(rows: np.ndarray, index: int, n_cols: int) -> BinaryMatrix:
-    """The ``BinaryMatrix`` of row ``index`` of a ``family_table``."""
+    """The ``BinaryMatrix`` of row ``index`` of ``family_rows``."""
     return BinaryMatrix(tuple(rows[index].tolist()), n_cols)
 
 
@@ -413,20 +423,22 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
 
 def exact_error_exponent(truth: BinaryMatrix, profile: FlipProfile,
                          max_matrices: int = DEFAULT_MAX_MATRICES,
-                         table: tuple[np.ndarray, np.ndarray] | None = None
+                         rows: np.ndarray | None = None
                          ) -> tuple[float, BinaryMatrix]:
     """Minimum Chernoff information between the truth and any other source.
 
     This is the exact asymptotic exponent of the maximum-likelihood error
     probability when ``truth`` generated the data.  Ties go to the source
-    that comes first in enumeration order.  ``table`` is the truth's
-    ``family_table`` under ``profile``, for a caller that already built it;
-    otherwise it is built here.
+    that comes first in enumeration order.  ``rows`` is the truth's
+    ``family_rows``, for a caller that already made them; otherwise they
+    are made here.  The table built from them is charged to the budget.
     """
-    if table is None:
-        table = family_table(truth.n_rows, truth.n_cols, profile, max_matrices)
-    rows, probs = table
-    n, t = rows.shape[0], family_index(table, truth)
+    check_profile(profile, truth.n_cols)
+    if rows is None:
+        rows = family_rows(truth.n_rows, truth.n_cols, max_matrices)
+    n, t = rows.shape[0], family_index(rows, truth)
+    _check_table(*rows.shape, truth.n_cols)
+    probs = mixture_probs_table(rows, channel_kernel(profile))
     height = max(1, _TILE_MADDS // probs.shape[1])
     strips = [(slice(r0, min(r0 + height, stop)), [(t, t + 1)])
               for start, stop in ((0, t), (t + 1, n))
@@ -444,9 +456,11 @@ def random_pair_stream(n_rows: int, n_cols: int, count: int, seed: int,
     characterization: one side holds n* copies of every even-parity word,
     the other n* copies of every odd-parity word, plus a shared random
     padding multiset, so every emitted pair is critical by construction.
+    Rows too many for the budget are refused as a constructed pair's are.
     """
     check_shape(n_rows, n_cols)
     check_profile(profile, n_cols)
+    _check_pair(n_rows, n_cols)
     if count < 0:
         raise InvalidInputError(f"count must be >= 0, got {count}")
     half = 1 << (n_cols - 1)

@@ -53,14 +53,14 @@ every decision is the float64 one.  A trial that no group of a span leaves
 open beats the whole span unscored.  Trials settled within a span leave at
 its end, and the block is compacted only when some trial left.
 
-Scoring reads no family table.  ``rival_ratios`` takes from it, in one
-pass of row chunks, what needs the whole family: the rivals' scoring
-order, each rival's ``B_r`` and its source rows.  Scoring makes the
-truth's row and logs, every float32 screen row and every float64 ratio
-row from sources by ``mixture_probs_table``, bit for bit the table's; the
-screen rows are made in row chunks while the first blocks are drawn.  So
-a caller that drops its table before scoring never holds the table and
-the screen rows (half a table) at once.
+Scoring reads no family table: it takes the family's canonical rows
+(``family_rows``) and makes every probability row it reads from them by
+``mixture_probs_table``, bit for bit the table's.  One pass of row chunks
+over the rivals gives each rival's ``B_r``, its nearness
+``(log p_r - log p_truth) · p_truth`` and, past one tile, its float32
+screen row; one gather then puts rivals, scales and screen rows nearest
+group first, before any block is drawn.  The float64 ratio rows are made
+again from the sources wherever a decision needs them.
 
 Sampling is most of the work when the family is small.  Each block of
 trials has its own substream, spawned in order on the calling thread, and
@@ -82,7 +82,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,8 +90,8 @@ from .exceptions import EstimationError, InvalidInputError
 from . import mixtures
 from .mixtures import BinaryMatrix, FlipProfile, check_profile, check_shape
 from .mixtures import mixture_probs_table  # noqa: F401  looked up by bench/spans.py
-from .oracle import (DEFAULT_MAX_MATRICES, family_index, family_source,
-                     family_table)
+from .oracle import (DEFAULT_MAX_MATRICES, _check_table, family_index,
+                     family_rows, family_source)
 from .oracle import enumerate_matrices  # noqa: F401  looked up by bench/spans.py
 
 _Z95 = 1.959963984540054
@@ -127,6 +127,9 @@ _U32 = 2.0 ** -24
 # The first tile is scored in float64 over this many product bytes at a
 # time: 1,024 trials against a full tile, a quarter of a trial block.
 _FIRST_PRODUCT_BYTES = 1 << 21
+# Bytes ``sample_observations`` traces per observation: 17.0 to 17.8 at
+# L = 1, 3 and 10 (the words, the row choices, and one column's flips).
+_OBSERVATION_BYTES = 24
 
 
 @dataclass(frozen=True)
@@ -186,9 +189,16 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
 
 def sample_observations(truth: BinaryMatrix, profile: FlipProfile, m: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """Draw m observations: uniform row choice, then independent column flips."""
+    """Draw m observations: uniform row choice, then independent column flips.
+
+    An m that is not a nonnegative integer, or over the budget, is refused.
+    """
     check_shape(truth.n_rows, truth.n_cols)
     check_profile(profile, truth.n_cols)
+    if not isinstance(m, (int, np.integer)) or m < 0:
+        raise InvalidInputError("m must be a nonnegative integer")
+    mixtures.check_budget(int(m) * _OBSERVATION_BYTES,
+                          f"{mixtures.decimal_text(int(m))} observations")
     rows = np.array(truth.rows, dtype=np.int64)
     words = rows[rng.integers(0, rows.shape[0], size=m)]
     for col, f in enumerate(profile.flips):
@@ -273,45 +283,16 @@ def _nearest_groups_first(nearness: np.ndarray) -> np.ndarray:
                              kind="stable")].ravel()
 
 
-class RivalRatios(NamedTuple):
-    """What Monte Carlo scoring needs of a family table, in scoring order.
-
-    ``scale`` holds each rival's ``B_r`` and ``sources`` its source rows,
-    from which scoring makes every float32 screen row and float64 ratio row
-    it reads.
-    """
-
-    scale: np.ndarray
-    sources: np.ndarray
-
-
-def rival_ratios(table: tuple[np.ndarray, np.ndarray],
-                 truth: BinaryMatrix) -> RivalRatios:
-    """What scoring needs of ``table``, a family table holding ``truth``.
-
-    One pass of row chunks over the table gives each source's magnitude
-    and, when the rivals need more than one tile, its nearness ``log p_r ·
-    p_truth``.  Rivals that fit in one tile keep enumeration order: there
-    is no later tile to order or screen, and a padded short group would
-    only widen the one product.  More are taken nearest group first.
-    Raises ``InvalidInputError`` when ``table`` does not hold the truth.
-    Nothing returned refers to the table, and nothing returned is
-    table-sized, so a caller that drops the table frees it.
-    """
-    rows, probs = table
-    truth_idx = family_index(table, truth)
-    p_truth = probs[truth_idx]
-    rivals = np.delete(np.arange(probs.shape[0]), truth_idx)
-    screened = rivals.size > _RIVAL_TILE
-    magnitude = np.empty(probs.shape[0])
-    nearness = np.empty(probs.shape[0])
-    for chunk in mixtures.row_chunks(probs.shape[0], p_truth.nbytes):
-        magnitude[chunk] = _magnitudes(probs[chunk])
-        if screened:
-            nearness[chunk] = _log_ratios(probs[chunk].copy(), 0.0) @ p_truth
-    if screened:
-        rivals = rivals[_nearest_groups_first(nearness[rivals])]
-    return RivalRatios(magnitude[rivals] + magnitude[truth_idx], rows[rivals])
+def _ratio_chunks(sources: np.ndarray, kernel: np.ndarray,
+                  p_truth: np.ndarray) -> Iterator[tuple]:
+    """``(chunk, B_r, ratio rows)`` of each row chunk of ``sources``, the
+    rows made by ``mixture_probs_table``, bit for bit the table's."""
+    truth_magnitude = _magnitudes(p_truth[None])[0]
+    truth_logs = _log_ratios(p_truth.copy(), 0.0)
+    for chunk in mixtures.row_chunks(sources.shape[0], p_truth.nbytes):
+        probs = mixtures.mixture_probs_table(sources[chunk], kernel)
+        yield (chunk, _magnitudes(probs) + truth_magnitude,
+               _log_ratios(probs, truth_logs))
 
 
 def ml_decide(observations: Sequence[int], profile: FlipProfile,
@@ -323,26 +304,31 @@ def ml_decide(observations: Sequence[int], profile: FlipProfile,
     Returns the argmax (ties resolved toward the lexicographically first
     candidate) and whether the truth's log likelihood strictly beat every
     rival; with zero observations all likelihoods tie and the flag is False.
-    A bad word (``check_words``) or truth shape raises ``InvalidInputError``.
+    A bad word (``check_words``), truth shape or profile length raises
+    ``InvalidInputError``.  Candidates are scored a row chunk at a time
+    (``_ratio_chunks``), so no family table is built.
     """
     if truth.n_rows != n_rows or truth.n_cols != n_cols:
         raise InvalidInputError("truth matrix shape disagrees with (N, L)")
     observed = list(observations)
     mixtures.check_words(observed, n_cols, "observation word")
-    table = family_table(n_rows, n_cols, profile, max_matrices)
-    rows, probs = table
-    words = np.asarray(observed, dtype=np.int64)
-    counts = np.bincount(words, minlength=1 << n_cols).astype(float)
-    truth_idx = family_index(table, truth)
-    rivals = np.delete(np.arange(probs.shape[0]), truth_idx)
-    ratios = _log_ratios(probs[rivals],
-                         _log_ratios(probs[truth_idx].copy(), 0.0))
-    scores = ratios @ counts
-    magnitude = _magnitudes(probs)
-    slack = _TIE_RTOL * (magnitude[rivals] + magnitude[truth_idx])
-    correct = bool(np.all(scores < -words.size * slack))
-    chosen = int(np.argmax(np.insert(scores, truth_idx, 0.0)))
-    return family_source(rows, chosen, n_cols), correct
+    check_profile(profile, n_cols)
+    rows = family_rows(n_rows, n_cols, max_matrices)
+    truth_idx = family_index(rows, truth)
+    kernel = mixtures.channel_kernel(profile)
+    counts = np.bincount(np.asarray(observed, dtype=np.int64),
+                         minlength=1 << n_cols).astype(float)
+    p_truth = mixtures.mixture_probs_table(rows[[truth_idx]], kernel)[0]
+    scores = np.empty(rows.shape[0])
+    beaten = np.empty(rows.shape[0], dtype=bool)
+    for chunk, scale, ratios in _ratio_chunks(rows, kernel, p_truth):
+        scores[chunk] = ratios @ counts
+        beaten[chunk] = scores[chunk] < -len(observed) * (_TIE_RTOL * scale)
+    # the truth's ratios are 0, so its score, 0, wins its ties with every
+    # later candidate
+    beaten[truth_idx] = True
+    return (family_source(rows, int(np.argmax(scores)), n_cols),
+            bool(beaten.all()))
 
 
 def _cpu_count() -> int:
@@ -374,7 +360,9 @@ def _draw(seed: np.random.SeedSequence, m: int, p_truth: np.ndarray,
     return counts
 
 
-class _DrawnBlocks:
+def _drawn_blocks(p_truth: np.ndarray,
+                  jobs: Iterable[tuple[np.random.SeedSequence, int, int]]
+                  ) -> Iterator[tuple[int, np.ndarray]]:
     """Each job's ``(m, block)`` in job order, drawn on a thread pool.
 
     A job ``(seed, m, n)`` is the block ``_draw(seed, m, p_truth, n)``, and
@@ -383,76 +371,91 @@ class _DrawnBlocks:
     ``workers + 1`` full blocks (``8 * _TRIAL_BLOCK * 2**L`` bytes each)
     fit in the budget of ``check_budget``, and at least one.  A worker
     starts only when a job is submitted while none is idle, so k jobs start
-    at most min(k, workers) of them.  The first jobs are submitted as the
-    object is made, so they are drawn while the caller prepares to score.
-    A draw's exception is raised in its job's turn.  At most one job more
-    than there are workers is submitted ahead of the block last taken, each
-    holding one block: the int64 draw, which the caller casts.  ``close``
-    cancels the jobs no worker has started and joins the workers; a caller
-    closes it however it leaves, with ``contextlib.closing``.  The workers
-    are not daemons: were it never closed, the interpreter's exit would
-    join them after at most ``workers + 1`` pending draws.
+    at most min(k, workers) of them.  Nothing is submitted before the first
+    block is asked for, so a caller prepares everything it can before.  A
+    draw's exception is raised in its job's turn.  At most one job more
+    than there are workers is submitted ahead of the block last yielded,
+    each holding one block: the int64 draw, which the caller casts.
+    Finishing or closing the generator cancels the jobs no worker has
+    started and joins the workers; a caller closes it however it leaves,
+    with ``contextlib.closing``.  The workers are not daemons: were the
+    generator never closed, the interpreter's exit would join them after at
+    most ``workers + 1`` pending draws.
     """
+    n_workers = max(1, min(_cpu_count(), mixtures._BUDGET_BYTES
+                           // (8 * _TRIAL_BLOCK * p_truth.size) - 1))
+    pool = ThreadPoolExecutor(n_workers)
+    jobs = iter(jobs)
+    ahead = deque()  # (m, future) of each job submitted, not yet yielded
 
-    def __init__(self, p_truth: np.ndarray,
-                 jobs: Iterable[tuple[np.random.SeedSequence, int, int]]
-                 ) -> None:
-        self._p_truth = p_truth
-        self._jobs = iter(jobs)
-        self._workers = max(1, min(_cpu_count(), mixtures._BUDGET_BYTES
-                                   // (8 * _TRIAL_BLOCK * p_truth.size) - 1))
-        self._ahead = deque()  # (m, future) of each job submitted, not taken
-        self._pool = ThreadPoolExecutor(self._workers)
-        try:
-            self._top_up()
-        except BaseException:
-            self.close()
-            raise
+    def top_up() -> None:
+        for seed, m, n in islice(jobs, n_workers + 1 - len(ahead)):
+            ahead.append((m, pool.submit(_draw, seed, m, p_truth, n)))
 
-    def _top_up(self) -> None:
-        for seed, m, n in islice(self._jobs,
-                                 self._workers + 1 - len(self._ahead)):
-            self._ahead.append((m, self._pool.submit(
-                _draw, seed, m, self._p_truth, n)))
-
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        return self
-
-    def __next__(self) -> tuple[int, np.ndarray]:
-        if not self._ahead:
-            raise StopIteration
-        # the future is dropped on return, so a block the caller casts or
-        # compacts is freed as it drops it
-        m, future = self._ahead.popleft()
-        self._top_up()
+    def take() -> tuple[int, np.ndarray]:
+        m, future = ahead.popleft()
+        top_up()
         return m, future.result()
 
-    def close(self) -> None:
-        self._pool.shutdown(cancel_futures=True)
+    try:
+        top_up()
+        while ahead:
+            # yielding take()'s result keeps no reference to the block
+            # here, so a block the caller casts or compacts is freed as it
+            # drops it
+            yield take()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
+def _error_counts(cfg: SimConfig, rows: np.ndarray) -> list[int]:
     """Errors among ``cfg.trials`` simulated trials, one count per m.
 
-    ``rivals`` is ``rival_ratios`` of the truth's family table under
-    ``cfg.profile``, whose channel kernel makes the truth's row, every
-    float32 screen row and every float64 ratio row again, from the sources.
-    The screen rows are made in row chunks once the first blocks are
-    submitted, so a caller that dropped its table holds no table-sized
-    array while they are made.
+    ``rows`` is the truth's ``family_rows``, from which ``cfg.profile``'s
+    channel kernel makes every probability row scoring reads.  A family
+    whose table would pass the budget raises ``ResourceLimitError`` first.
     """
-    scale, sources = rivals
+    truth_idx = family_index(rows, cfg.truth)
+    _check_table(*rows.shape, cfg.truth.n_cols)
     kernel = mixtures.channel_kernel(cfg.profile)
-    p_truth = mixtures.mixture_probs_table(
-        np.array([cfg.truth.rows]), kernel)[0]
+    p_truth = mixtures.mixture_probs_table(rows[[truth_idx]], kernel)[0]
     truth_logs = _log_ratios(p_truth.copy(), 0.0)
 
     def ratio_rows(picked: np.ndarray) -> np.ndarray:
-        return _log_ratios(mixtures.mixture_probs_table(picked, kernel),
+        return _log_ratios(mixtures.mixture_probs_table(rows[picked], kernel),
                            truth_logs)
 
-    n_rivals = scale.size
+    rivals = np.delete(np.arange(rows.shape[0]), truth_idx)
+    # rivals that fit in one tile keep enumeration order: there is no later
+    # tile to order or screen, and a padded short group would only widen
+    # the one product
+    screened = rivals.size > _RIVAL_TILE
+    scale, nearness = np.empty(rivals.size), np.empty(rivals.size)
+    if screened:
+        screen = np.empty((rivals.size, p_truth.size), dtype=np.float32)
+    for chunk, chunk_scale, ratios in _ratio_chunks(rows[rivals], kernel,
+                                                    p_truth):
+        scale[chunk] = chunk_scale
+        nearness[chunk] = ratios @ p_truth
+        if screened:
+            screen[chunk] = _screen_rows(ratios, chunk_scale)
+    if screened:
+        order = _nearest_groups_first(nearness)
+        # the old screen rows are freed before the other gathers
+        screen = screen[order]
+        rivals, scale = rivals[order], scale[order]
     slack = _TIE_RTOL * scale
+    first = ratio_rows(rivals[:_RIVAL_TILE])
+    # trials per float64 product of the first tile
+    step = max(1, _FIRST_PRODUCT_BYTES // (8 * first.shape[0]))
+    if screened:
+        envelopes = screen.reshape(-1, _GROUP, p_truth.size).max(axis=1)
+        rival_levels = _clear_levels(slack, scale, p_truth.size)
+        group_levels = _clear_levels(
+            2.0 * slack.reshape(-1, _GROUP).max(axis=1),
+            scale.reshape(-1, _GROUP).max(axis=1), p_truth.size)
+        # not held while the blocks are scored
+        del nearness, scale, order
     n_blocks = (cfg.trials + _TRIAL_BLOCK - 1) // _TRIAL_BLOCK
     point_streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.m_values))
     jobs = ((point_stream.spawn(1)[0], m,
@@ -460,21 +463,7 @@ def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
             for m, point_stream in zip(cfg.m_values, point_streams)
             for block in range(n_blocks))
     per_m = dict.fromkeys(cfg.m_values, 0)
-    with closing(_DrawnBlocks(p_truth, jobs)) as blocks:
-        # the rows are made while the first blocks are drawn
-        first = ratio_rows(sources[:_RIVAL_TILE])
-        # trials per float64 product of the first tile
-        step = max(1, _FIRST_PRODUCT_BYTES // (8 * first.shape[0]))
-        if n_rivals > _RIVAL_TILE:
-            screen = np.empty((n_rivals, p_truth.size), dtype=np.float32)
-            for chunk in mixtures.row_chunks(n_rivals, p_truth.nbytes):
-                screen[chunk] = _screen_rows(ratio_rows(sources[chunk]),
-                                             scale[chunk])
-            envelopes = screen.reshape(-1, _GROUP, p_truth.size).max(axis=1)
-            rival_levels = _clear_levels(slack, scale, p_truth.size)
-            group_levels = _clear_levels(
-                2.0 * slack.reshape(-1, _GROUP).max(axis=1),
-                scale.reshape(-1, _GROUP).max(axis=1), p_truth.size)
+    with closing(_drawn_blocks(p_truth, jobs)) as blocks:
         for m, counts in blocks:
             # with m == 0 every count is 0, so every rival ties: all errors
             counts = counts.astype(float)
@@ -486,13 +475,13 @@ def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
                     first @ counts[lo:lo + step].T
                     >= -m * slack[:_RIVAL_TILE, None], axis=0)
             per_m[m] += int(np.count_nonzero(lost))
-            if n_rivals <= _RIVAL_TILE:
+            if not screened:
                 continue
             rival_clear = _floor32(m * rival_levels)[:, None]
             group_clear = _floor32(m * group_levels)[:, None]
             counts32 = None
             start = _RIVAL_TILE
-            while start < n_rivals:
+            while start < rivals.size:
                 if lost.any():
                     # dropped first, so one float32 copy is alive at a time
                     counts32 = None
@@ -503,7 +492,7 @@ def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
                     counts32 = counts.astype(np.float32)
                 first_group = start // _GROUP
                 groups = slice(first_group, first_group + _RIVAL_TILE)
-                stop = min(groups.stop * _GROUP, n_rivals)
+                stop = min(groups.stop * _GROUP, rivals.size)
                 # (group, trial): only a trial that a group's envelope
                 # leaves open can lose to that group's members
                 left_open = (envelopes[groups] @ counts32.T
@@ -513,10 +502,10 @@ def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
                     tile = slice(tile_start,
                                  min(tile_start + _RIVAL_TILE, stop))
                     # the span's rows for the groups this tile meets
-                    rows = slice(tile.start // _GROUP - first_group,
-                                 -(-tile.stop // _GROUP) - first_group)
+                    met = slice(tile.start // _GROUP - first_group,
+                                -(-tile.stop // _GROUP) - first_group)
                     trials = np.flatnonzero(
-                        np.logical_or.reduce(left_open[rows], axis=0) & ~lost)
+                        np.logical_or.reduce(left_open[met], axis=0) & ~lost)
                     if not trials.size:
                         continue
                     # (rival, trial) pairs the tile's screen cannot clear,
@@ -527,7 +516,7 @@ def _error_counts(cfg: SimConfig, rivals: RivalRatios) -> list[int]:
                     if near.size:
                         trials = trials[left.any(axis=0)]
                         lost[trials] = np.logical_or.reduce(
-                            ratio_rows(sources[tile][near]) @ counts[trials].T
+                            ratio_rows(rivals[tile][near]) @ counts[trials].T
                             >= -m * slack[tile][near, None], axis=0)
                 per_m[m] += int(np.count_nonzero(lost))
                 start = stop
@@ -569,20 +558,16 @@ def fit_exponent(points: Sequence[tuple[int, float, int]]
 
 def estimate_exponent(cfg: SimConfig,
                       max_matrices: int = DEFAULT_MAX_MATRICES,
-                      rivals: RivalRatios | None = None) -> ExponentEstimate:
+                      rows: np.ndarray | None = None) -> ExponentEstimate:
     """Simulate the error rate per sample count and fit the decay exponent.
 
-    ``rivals`` is ``rival_ratios`` of the truth's ``family_table`` under
-    ``cfg.profile``, for a caller that built the table for more than this
-    call; otherwise the table is built here and let go of before any trial
-    is scored.
+    ``rows`` is the truth's ``family_rows``, for a caller that already made
+    them; otherwise they are made here.
     """
-    if rivals is None:
-        rivals = rival_ratios(
-            family_table(cfg.truth.n_rows, cfg.truth.n_cols, cfg.profile,
-                         max_matrices), cfg.truth)
+    if rows is None:
+        rows = family_rows(cfg.truth.n_rows, cfg.truth.n_cols, max_matrices)
     per_m = [(m, errors / cfg.trials, wilson_interval(errors, cfg.trials))
-             for m, errors in zip(cfg.m_values, _error_counts(cfg, rivals))]
+             for m, errors in zip(cfg.m_values, _error_counts(cfg, rows))]
     slope, interval = fit_exponent(
         [(m, rate, cfg.trials) for m, rate, _ in per_m]
     )

@@ -24,7 +24,8 @@ from bmmci import (
     random_pair_stream,
 )
 from bmmci.chernoff import chernoff_info_batch, tangent_bound
-from bmmci.oracle import PRUNE_MARGIN, canonical_rows, family_table
+from bmmci.oracle import (PRUNE_MARGIN, canonical_rows, family_rows,
+                          family_table)
 
 
 def _family_probs(n, l, profile):
@@ -457,27 +458,38 @@ class TestExactErrorExponent:
                                  FlipProfile.constant(0.1, 2))
 
     def test_peak_above_table_multiple(self):
-        # beside the caller's table the strips hold the square roots of the
-        # truth's row and of one strip of 4,096 rows, not of the whole table
+        # the call builds the table from the caller's rows, and beside it
+        # the strips hold the square roots of the truth's row and of one
+        # strip of 4,096 rows, not of the whole table
         profile = FlipProfile.constant(0.2, 6)
         truth = parse_matrix_text("000000\n101000\n100100\n")
-        table = family_table(3, 6, profile, 10 ** 6)
+        rows = family_rows(3, 6, 10 ** 6)
         tracemalloc.start()
         try:
-            exact_error_exponent(truth, profile, table=table)
+            exact_error_exponent(truth, profile, rows=rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 0.15 * table[1].nbytes
+        assert peak <= 1.15 * rows.shape[0] * 64 * 8
 
     @pytest.mark.parametrize("n,l", [(3, 1), (2, 2)])
     def test_truth_outside_table(self, n, l):
-        # a table of 2-row, 1-column sources holds neither truth
+        # the rows of 2-row, 1-column sources hold neither n-row truth; the
+        # second has their width, not their count
         profile = FlipProfile.constant(0.1, l)
-        table = family_table(2, 1, FlipProfile.constant(0.1, 1), 10 ** 6)
-        with pytest.raises(InvalidInputError):
-            exact_error_exponent(canonicalize(range(n), l), profile,
-                                 table=table)
+        rows = family_rows(2, 1, 10 ** 6)
+        with pytest.raises(InvalidInputError, match="not in a family"):
+            exact_error_exponent(canonicalize([i % 2 for i in range(n)], l),
+                                 profile, rows=rows)
+
+    def test_handed_rows_charge_their_table(self, monkeypatch):
+        # canonical_rows checks the matrix cap only; the table built from
+        # them, 10 sources of 4 outcomes, is charged before it is built
+        rows = canonical_rows(2, 2)
+        monkeypatch.setattr(bmmci.mixtures, "_BUDGET_BYTES", 319)
+        with pytest.raises(ResourceLimitError, match="320 bytes"):
+            exact_error_exponent(canonicalize([0, 3], 2),
+                                 FlipProfile.constant(0.1, 2), rows=rows)
 
 
 class TestRandomPairStream:
@@ -512,6 +524,16 @@ class TestRandomPairStream:
         profile = FlipProfile.constant(0.2, 2)
         with pytest.raises(InvalidInputError, match="count"):
             list(random_pair_stream(3, 2, -1, seed=0, profile=profile))
+
+    @pytest.mark.parametrize("critical_only", [False, True])
+    def test_refuses_rows_over_budget(self, critical_only):
+        # charged as a constructed pair's rows are; both once ended in a
+        # MemoryError
+        profile = FlipProfile.constant(0.2, 2)
+        with pytest.raises(ResourceLimitError,
+                           match="a pair of 1000000000000 rows"):
+            list(random_pair_stream(10 ** 12, 2, 1, seed=0, profile=profile,
+                                    critical_only=critical_only))
 
     def test_infeasible_critical_request(self):
         profile = FlipProfile.constant(0.2, 3)

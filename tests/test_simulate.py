@@ -15,6 +15,7 @@ from bmmci import (
     EstimationError,
     FlipProfile,
     InvalidInputError,
+    ResourceLimitError,
     SimConfig,
     canonicalize,
     estimate_exponent,
@@ -28,8 +29,8 @@ from bmmci import (
 import bmmci.cli
 import bmmci.mixtures
 from bmmci import simulate
-from bmmci.oracle import (DEFAULT_MAX_MATRICES, family_index, family_source,
-                          family_table)
+from bmmci.oracle import (DEFAULT_MAX_MATRICES, canonical_rows, family_index,
+                          family_rows, family_source, family_table)
 
 TRUTH = canonicalize([0, 1, 1], 1)
 PROFILE = FlipProfile.constant(0.1, 1)
@@ -41,9 +42,8 @@ _CHI2_3_CRIT = 16.266
 def error_counts(truth, profile, m_values, trials, seed):
     cfg = SimConfig(truth=truth, profile=profile, m_values=m_values,
                     trials=trials, seed=seed)
-    table = family_table(truth.n_rows, truth.n_cols, profile,
-                         DEFAULT_MAX_MATRICES)
-    return simulate._error_counts(cfg, simulate.rival_ratios(table, truth))
+    return simulate._error_counts(
+        cfg, family_rows(truth.n_rows, truth.n_cols, DEFAULT_MAX_MATRICES))
 
 
 def reference_error_counts(cfg, table):
@@ -159,6 +159,32 @@ class TestSampleObservations:
             sample_observations(TRUTH, FlipProfile.constant(0.1, 2), 5,
                                 np.random.default_rng(0))
 
+    @pytest.mark.parametrize("m", [-1, -10 ** 5000, 2.5, "3", None],
+                             ids=["-1", "-10**5000", "2.5", "'3'", "None"])
+    def test_refuses_bad_counts(self, m):
+        # once a ValueError from numpy (-1) or a TypeError (2.5)
+        with pytest.raises(InvalidInputError, match="m must be"):
+            sample_observations(TRUTH, PROFILE, m, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m", [10 ** 12, 10 ** 5000],
+                             ids=["10**12", "10**5000"])
+    def test_refuses_counts_over_budget(self, m):
+        # 10**12 once asked numpy for 7.28 TiB and raised MemoryError
+        with pytest.raises(ResourceLimitError, match="observations"):
+            sample_observations(TRUTH, PROFILE, m, np.random.default_rng(0))
+
+    def test_counts_within_budget_and_of_numpy_type(self, monkeypatch):
+        obs = sample_observations(TRUTH, PROFILE, np.int64(0),
+                                  np.random.default_rng(0))
+        assert obs.shape == (0,)
+        monkeypatch.setattr(bmmci.mixtures, "_BUDGET_BYTES",
+                            1000 * simulate._OBSERVATION_BYTES)
+        assert sample_observations(TRUTH, PROFILE, 1000,
+                                   np.random.default_rng(0)).shape == (1000,)
+        with pytest.raises(ResourceLimitError):
+            sample_observations(TRUTH, PROFILE, 1001,
+                                np.random.default_rng(0))
+
 
 class TestMlDecide:
     def test_no_observations_tie_is_error(self):
@@ -213,6 +239,41 @@ class TestMlDecide:
         chosen, correct = ml_decide([0, 1, 2, 3, 3], profile, 3, 2, truth)
         assert not correct
         assert chosen.rows == (0, 0, 0)
+
+    def test_scores_row_chunks_as_the_whole_table(self):
+        # 45,760 candidates over many row chunks: the choice and the flag
+        # of the whole table's log-likelihood ratios
+        truth = parse_matrix_text("000000\n101000\n100100\n")
+        profile = FlipProfile.constant(0.2, 6)
+        rows, probs = family_table(3, 6, profile, DEFAULT_MAX_MATRICES)
+        t = family_index(rows, truth)
+        magnitude = simulate._magnitudes(probs)
+        logs = simulate._log_ratios(probs, 0.0)
+        rng = np.random.default_rng(1)
+        for m in (0, 5, 40, 400):
+            observed = sample_observations(truth, profile, m, rng)
+            scores = (logs - logs[t]) @ np.bincount(observed, minlength=64)
+            slack = simulate._TIE_RTOL * (magnitude + magnitude[t])
+            correct = bool(np.all(np.delete(scores < -m * slack, t)))
+            chosen, flag = ml_decide(observed.tolist(), profile, 3, 6, truth)
+            assert chosen == family_source(rows, int(np.argmax(scores)), 6)
+            assert flag == correct
+            assert flag == (m == 400)
+
+    def test_peak_far_below_the_table(self):
+        # beside the family's rows the call holds one row chunk's
+        # probabilities and two floats a candidate: 0.11x the table at
+        # (3, 6), traced, where copying the table before its logs took 2.22x
+        truth = parse_matrix_text("000000\n101000\n100100\n")
+        profile = FlipProfile.constant(0.2, 6)
+        observed = np.random.default_rng(0).integers(0, 64, 50).tolist()
+        tracemalloc.start()
+        try:
+            ml_decide(observed, profile, 3, 6, truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * 45760 * 64 * 8
 
     @pytest.mark.parametrize("f", [0.1, 0.15])
     def test_mirrored_rival_ties(self, f):
@@ -334,8 +395,7 @@ class TestErrorCounts:
         reference = reference_error_counts(cfg, table)
         for workers in WORKER_COUNTS:
             monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
-            assert simulate._error_counts(
-                cfg, simulate.rival_ratios(table, truth)) == reference, workers
+            assert simulate._error_counts(cfg, table[0]) == reference, workers
 
     def test_counts_stay_on_the_truth_support(self):
         # the bench's 3x6 truth with a flip-free last column: the truth's
@@ -344,7 +404,7 @@ class TestErrorCounts:
         truth = parse_matrix_text("000000\n101000\n100100\n")
         table = family_table(3, 6, FlipProfile((0.3,) * 5 + (0.0,)),
                              DEFAULT_MAX_MATRICES)
-        p_truth = table[1][family_index(table, truth)]
+        p_truth = table[1][family_index(table[0], truth)]
         support = p_truth > 0.0
         m, seed = 10**17, np.random.SeedSequence(0)
         assert np.random.default_rng(seed).multinomial(
@@ -362,7 +422,7 @@ class TestErrorCounts:
         monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
         truth = canonicalize([5], 10)
         profile = FlipProfile.constant(0.05, 10)
-        table = family_table(1, 10, profile, DEFAULT_MAX_MATRICES)
+        rows = family_rows(1, 10, DEFAULT_MAX_MATRICES)
         cfg = SimConfig(truth=truth, profile=profile, m_values=(10, 40, 160),
                         trials=4096, seed=0)
         block = 4096 * 1024 * 8
@@ -372,7 +432,7 @@ class TestErrorCounts:
         serial_peak = 74_391_953
         tracemalloc.start()
         try:
-            simulate._error_counts(cfg, simulate.rival_ratios(table, truth))
+            simulate._error_counts(cfg, rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -382,12 +442,12 @@ class TestErrorCounts:
         # 4096 trials against the 5,983 rivals at N=3, L=5 would be 196 MB
         truth = canonicalize([0, 5, 12], 5)
         profile = FlipProfile.constant(0.2, 5)
-        table = family_table(3, 5, profile, DEFAULT_MAX_MATRICES)
+        rows = family_rows(3, 5, DEFAULT_MAX_MATRICES)
         cfg = SimConfig(truth=truth, profile=profile, m_values=(40,),
                         trials=4096, seed=0)
         tracemalloc.start()
         try:
-            simulate._error_counts(cfg, simulate.rival_ratios(table, truth))
+            simulate._error_counts(cfg, rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -413,59 +473,56 @@ class TestErrorCounts:
                 monkeypatch.setattr(simulate, "_FIRST_PRODUCT_BYTES",
                                     8 * tile * 97)
                 monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
-                assert simulate._error_counts(
-                    cfg, simulate.rival_ratios(table, cfg.truth)
-                ) == reference, (t, group, tile, workers)
+                assert simulate._error_counts(cfg, rows) == reference, (
+                    t, group, tile, workers)
 
     @pytest.mark.parametrize("order", [None, simulate._nearest_groups_first])
     def test_ratios_match_whole_table_logs(self, monkeypatch, order):
-        # the nearness is summed over row chunks, and scoring makes the
-        # float64 rows that decide and the float32 screen rows again from
-        # the rivals' sources, chunk by chunk; all must keep the bits of
-        # the logs of the whole table.  One tile of every rival keeps
-        # enumeration order and makes no screen rows.
+        # scoring makes every rival's float64 row from its source, chunk by
+        # chunk, and takes its B_r, its nearness and its float32 screen row
+        # from it; all must keep the bits of the logs of the whole table.
+        # One tile of every rival keeps enumeration order and makes no
+        # screen rows.
         profile = FlipProfile.constant(0.3, 6)
-        table = family_table(3, 6, profile, DEFAULT_MAX_MATRICES)
-        rows, probs = table
+        rows, probs = family_table(3, 6, profile, DEFAULT_MAX_MATRICES)
         assert probs.nbytes > 2 * bmmci.mixtures._CHUNK_BYTES
         if order is None:
             monkeypatch.setattr(simulate, "_RIVAL_TILE", probs.shape[0])
         screen_rows, made = simulate._screen_rows, []
+        groups_first, ordered_by = simulate._nearest_groups_first, []
 
         def recorded(ratios, scale):
-            made.append(screen_rows(ratios, scale))
-            return made[-1]
+            made.append((screen_rows(ratios, scale), scale.copy()))
+            return made[-1][0]
+
+        def ordered(nearness):
+            ordered_by.append(nearness.copy())
+            return groups_first(nearness)
 
         monkeypatch.setattr(simulate, "_screen_rows", recorded)
-        kernel = bmmci.mixtures.channel_kernel(profile)
+        monkeypatch.setattr(simulate, "_nearest_groups_first", ordered)
         with np.errstate(divide="ignore"):
             logs = np.maximum(np.log(probs), simulate._LOG_ZERO)
         magnitude = 1.0 - np.log(np.min(probs, axis=1, where=probs > 0.0,
                                         initial=np.inf))
         for t in (0, 12345, probs.shape[0] - 1):
             rivals = np.delete(np.arange(probs.shape[0]), t)
-            if order is not None:
-                rivals = rivals[order((logs @ probs[t])[rivals])]
-            truth = family_source(rows, t, 6)
-            got = simulate.rival_ratios(table, truth)
             ratios = logs[rivals] - logs[t]
-            assert np.array_equal(got.sources, rows[rivals])
-            remade = simulate._log_ratios(bmmci.mixtures.mixture_probs_table(
-                got.sources, kernel), logs[t])
-            assert np.array_equal(remade, ratios)
-            assert np.array_equal(simulate._TIE_RTOL * got.scale,
-                                  simulate._TIE_RTOL
-                                  * (magnitude[rivals] + magnitude[t]))
+            scale = magnitude[rivals] + magnitude[t]
             made.clear()
+            ordered_by.clear()
             simulate._error_counts(
-                SimConfig(truth=truth, profile=profile, m_values=(0,),
-                          trials=1, seed=0), got)
+                SimConfig(truth=family_source(rows, t, 6), profile=profile,
+                          m_values=(0,), trials=1, seed=0), rows)
             if order is None:
-                assert made == []
-            else:
-                # the screen rows clip these ratios
-                assert np.array_equal(np.concatenate(made),
-                                      screen_rows(ratios, got.scale))
+                assert made == [] and ordered_by == []
+                continue
+            # in enumeration order, as made before the one gather
+            assert np.array_equal(np.concatenate([row for row, _ in made]),
+                                  screen_rows(ratios, scale))
+            assert np.array_equal(np.concatenate([b for _, b in made]),
+                                  scale)
+            assert np.array_equal(ordered_by[0], ratios @ probs[t])
 
     @pytest.mark.parametrize("n,l,profile", [
         (3, 6, FlipProfile.constant(0.3, 6)),
@@ -493,30 +550,45 @@ class TestErrorCounts:
                                         or 1.0 in profile.flips)
 
     def test_peak_within_table_multiple(self):
-        # beside the table, scoring holds the float32 screen rows (half a
-        # table), their group envelopes, the first tile's float64 rows, the
-        # trial block in float64 and float32 and one span's product
+        # no table is built: scoring holds the float32 screen rows (half a
+        # table) and, while it puts them in scoring order, their gathered
+        # copy; then their group envelopes, the first tile's float64 rows,
+        # the trial block in float64 and float32 and one span's product
         truth = canonicalize([0, 5, 9], 6)
         profile = FlipProfile.constant(0.3, 6)
-        table = family_table(3, 6, profile, DEFAULT_MAX_MATRICES)
+        rows = family_rows(3, 6, DEFAULT_MAX_MATRICES)
         cfg = SimConfig(truth=truth, profile=profile, m_values=(40,),
                         trials=4096, seed=0)
         tracemalloc.start()
         try:
-            simulate._error_counts(cfg, simulate.rival_ratios(table, truth))
+            simulate._error_counts(cfg, rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * table[1].nbytes
+        assert peak <= 1.25 * rows.shape[0] * 64 * 8
 
     def test_truth_outside_table(self):
-        # the table holds 3-row, 2-column sources; the truth has 3 rows of 1
+        # the rows are of 3-row, 2-column sources; the truth has 3 rows of 1
         cfg = SimConfig(truth=TRUTH, profile=PROFILE, m_values=(5,),
                         trials=10, seed=0)
-        table = family_table(3, 2, FlipProfile.constant(0.1, 2),
-                             DEFAULT_MAX_MATRICES)
-        with pytest.raises(InvalidInputError):
-            simulate.rival_ratios(table, cfg.truth)
+        with pytest.raises(InvalidInputError, match="not in a family"):
+            estimate_exponent(cfg, rows=family_rows(3, 2,
+                                                    DEFAULT_MAX_MATRICES))
+
+    def test_handed_rows_charge_their_table(self, monkeypatch):
+        # canonical_rows checks the matrix cap only; the table the rows
+        # stand for, 10 sources of 4 outcomes, is charged before any row
+        cfg = SimConfig(truth=canonicalize([0, 3], 2),
+                        profile=FlipProfile.constant(0.1, 2),
+                        m_values=(5, 10, 15), trials=10, seed=0)
+        rows = canonical_rows(2, 2)
+        monkeypatch.setattr(bmmci.mixtures, "_BUDGET_BYTES", 319)
+        built = []
+        monkeypatch.setattr(bmmci.mixtures, "mixture_probs_table",
+                            lambda *args: built.append(args))
+        with pytest.raises(ResourceLimitError, match="320 bytes"):
+            estimate_exponent(cfg, rows=rows)
+        assert built == []
 
 
 def certified_clears(ratios, scale, counts, m):
@@ -627,18 +699,19 @@ class TestCommandMemory:
         (tmp_path / "truth.txt").write_text("000000\n101000\n100100\n")
 
     @staticmethod
-    def watch_table(monkeypatch, module):
-        """Patch ``module.family_table`` and ``simulate._DrawnBlocks``.
+    def watch_table(monkeypatch):
+        """Patch ``oracle.mixture_probs_table``, with which the exact phase
+        builds its table, and ``simulate._drawn_blocks``.
 
-        Returns a list that gets, as each block is scored, whether the
-        probabilities of any table built so far are still alive.
+        Returns the tables built, as weak references, and a list that gets,
+        as each block is scored, whether any of them is still alive.
         """
-        build, draw = module.family_table, simulate._DrawnBlocks
+        build, draw = bmmci.oracle.mixture_probs_table, simulate._drawn_blocks
         refs, alive = [], []
 
-        def family_table(*args):
+        def mixture_probs_table(*args):
             table = build(*args)
-            refs.append(weakref.ref(table[1]))
+            refs.append(weakref.ref(table))
             return table
 
         def drawn_blocks(p_truth, jobs):
@@ -647,16 +720,17 @@ class TestCommandMemory:
                     alive.append(any(ref() is not None for ref in refs))
                     yield block
 
-        monkeypatch.setattr(module, "family_table", family_table)
-        monkeypatch.setattr(simulate, "_DrawnBlocks", drawn_blocks)
-        return alive
+        monkeypatch.setattr(bmmci.oracle, "mixture_probs_table",
+                            mixture_probs_table)
+        monkeypatch.setattr(simulate, "_drawn_blocks", drawn_blocks)
+        return refs, alive
 
     def test_peak_within_table_multiple(self, monkeypatch, capsys):
-        # the exact exponent holds the table and the square roots of one
-        # strip of rows, and rival_ratios the table and the rivals' source
-        # rows (1.16x traced each); scoring makes the screen rows once the
-        # table is gone, and holds them, their envelopes, three blocks in
-        # flight and one span's product (1.16x)
+        # the exact phase builds the table from the rows and holds it beside
+        # the square roots of one strip of rows, and lets it go on return;
+        # scoring builds no table: it makes the float32 screen rows (half a
+        # table) and gathers them into scoring order, then holds them,
+        # their envelopes, three blocks in flight and one span's product
         monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
         tracemalloc.start()
         try:
@@ -668,16 +742,22 @@ class TestCommandMemory:
         assert peak <= 1.25 * self.TABLE_BYTES
 
     def test_command_lets_go_of_table(self, monkeypatch, capsys):
-        alive = self.watch_table(monkeypatch, bmmci.cli)
+        refs, alive = self.watch_table(monkeypatch)
         assert bmmci.cli.main(self.ARGV) == 0
+        assert len(refs) == 1
         assert len(alive) == 4 and not any(alive)
 
     def test_estimate_lets_go_of_its_table(self, monkeypatch):
-        alive = self.watch_table(monkeypatch, simulate)
+        # the command's calls on shared rows: only the exact phase builds a
+        # table, and it is gone before the first block is scored
+        refs, alive = self.watch_table(monkeypatch)
         cfg = SimConfig(truth=parse_matrix_text("000000\n101000\n100100\n"),
                         profile=FlipProfile.constant(0.2, 6),
                         m_values=(10, 20, 30, 40), trials=4096, seed=1)
-        estimate_exponent(cfg)
+        rows = family_rows(3, 6, DEFAULT_MAX_MATRICES)
+        exact_error_exponent(cfg.truth, cfg.profile, rows=rows)
+        estimate_exponent(cfg, rows=rows)
+        assert len(refs) == 1
         assert len(alive) == 4 and not any(alive)
 
 
@@ -700,7 +780,7 @@ class TestDrawnBlocks:
 
         def consume():
             try:
-                with closing(simulate._DrawnBlocks(
+                with closing(simulate._drawn_blocks(
                         self.P, draw_jobs(60, taken))) as blocks:
                     for m, block in blocks:
                         # the block yielded and at most workers + 1 ahead
@@ -736,7 +816,7 @@ class TestDrawnBlocks:
 
         monkeypatch.setattr(simulate, "_draw", counted)
         before = threading.active_count()
-        with closing(simulate._DrawnBlocks(self.P,
+        with closing(simulate._drawn_blocks(self.P,
                                            draw_jobs(100))) as blocks:
             assert next(blocks)[0] == 0
         assert threading.active_count() == before
@@ -745,7 +825,7 @@ class TestDrawnBlocks:
     def test_workers_start_only_for_submitted_jobs(self, monkeypatch):
         monkeypatch.setattr(simulate, "_cpu_count", lambda: 7)
         before = threading.active_count()
-        with closing(simulate._DrawnBlocks(self.P, draw_jobs(1))) as blocks:
+        with closing(simulate._drawn_blocks(self.P, draw_jobs(1))) as blocks:
             assert next(blocks)[0] == 0
             assert threading.active_count() <= before + 1
         assert threading.active_count() == before
@@ -770,7 +850,7 @@ class TestDrawnBlocks:
         seeds = np.random.SeedSequence(3).spawn(30)
         before = threading.active_count()
         taken = []
-        with closing(simulate._DrawnBlocks(
+        with closing(simulate._drawn_blocks(
                 self.P, draw_jobs(30, taken))) as blocks:
             for m, block in blocks:
                 assert threading.active_count() <= before + workers
@@ -792,7 +872,7 @@ class TestDrawnBlocks:
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
         p = np.full(1 << 13, 2.0 ** -13)
-        with closing(simulate._DrawnBlocks(p, draw_jobs(2))) as blocks:
+        with closing(simulate._drawn_blocks(p, draw_jobs(2))) as blocks:
             assert [m for m, _ in blocks] == [0, 1]
         assert pools == [3]
 
@@ -818,30 +898,35 @@ class TestDrawnBlocks:
         assert threading.active_count() == before, failure
 
     def test_screen_build_error_stops_workers(self, monkeypatch):
-        # the first draws are submitted before the screen rows are made,
-        # which fail at their first chunk: the third row build, after the
-        # truth's row and the first tile's
+        # the screen rows are made before any draw is submitted; they fail
+        # at their first chunk, the second row build, after the truth's
+        # row, and no pool is made and no worker started
         truth = canonicalize([0, 3, 5], 4)
         profile = FlipProfile.constant(0.2, 4)
-        table = family_table(3, 4, profile, DEFAULT_MAX_MATRICES)
-        rivals = simulate.rival_ratios(table, truth)
-        assert rivals.scale.size > simulate._RIVAL_TILE
+        rows = family_rows(3, 4, DEFAULT_MAX_MATRICES)
+        assert rows.shape[0] - 1 > simulate._RIVAL_TILE
         cfg = SimConfig(truth=truth, profile=profile, m_values=(5, 10),
                         trials=3000, seed=1)
         monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 300)
-        build, threads = bmmci.mixtures.mixture_probs_table, []
+        build, threads, pools = bmmci.mixtures.mixture_probs_table, [], []
 
         def failing(rows_table, kernel):
             threads.append(threading.active_count())
-            if len(threads) == 3:
+            if len(threads) == 2:
                 raise RuntimeError("build failed")
             return build(rows_table, kernel)
 
+        def pool(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
         monkeypatch.setattr(bmmci.mixtures, "mixture_probs_table", failing)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="build failed") as failure:
-            simulate._error_counts(cfg, rivals)
-        assert threads[-1] > before
+            simulate._error_counts(cfg, rows)
+        assert pools == []
+        assert threads == [before, before]
         # while the caller holds the traceback, and the frames with it
         assert threading.active_count() == before, failure
 
