@@ -66,17 +66,21 @@ Sampling is most of the work when the family is small.  Each block of
 trials has its own substream, spawned in order on the calling thread, and
 is drawn on a thread pool (``Generator.multinomial`` runs without the
 interpreter lock), at most one more block ahead than there are workers.
-Workers start as blocks are submitted, at most one per CPU and no more
-than let one block more than there are workers fit in the memory budget.
-No block is drawn on the calling thread, which scores the blocks in order
-as they arrive.  The errors are summed per m, so the counts are the same on
-any number of CPUs.
+A worker draws a block a few rows at a time straight into a float64
+buffer that the calling thread made, and the buffer of a scored block is
+drawn into again, so scoring neither casts a draw nor frees memory that
+a worker allocated.  Workers start as blocks are submitted, at most one
+per CPU and no more than let the buffers of two blocks more than there
+are workers fit in the memory budget.  No block is drawn on the calling
+thread, which scores the blocks in order as they arrive.  The errors are
+summed per m, so the counts are the same on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -130,6 +134,9 @@ _FIRST_PRODUCT_BYTES = 1 << 21
 # Bytes ``sample_observations`` traces per observation: 17.0 to 17.8 at
 # L = 1, 3 and 10 (the words, the row choices, and one column's flips).
 _OBSERVATION_BYTES = 24
+# A trial block is drawn at most this many bytes of int64 counts at a time,
+# straight into its float64 buffer.
+_DRAW_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -340,24 +347,33 @@ def _cpu_count() -> int:
 
 
 def _draw(seed: np.random.SeedSequence, m: int, p_truth: np.ndarray,
-          n: int) -> np.ndarray:
-    """Outcome counts of n trials of m observations each, one row a trial.
+          out: np.ndarray) -> None:
+    """Fill ``out``, (n, K), with the outcome counts of n trials of m
+    observations each, one row a trial; scoring reads them as float64.
 
-    numpy's multinomial gives its last outcome whatever the others leave of
-    m, so when ``p_truth`` ends in a 0 the rounding of its conditional
-    probabilities can leave a count there, from m near 10**15 up.  An
-    outcome of probability 0 draws nothing, so that leftover is the
-    remainder that numpy's multinomial over the support alone gives its
-    last outcome, the truth's last of positive probability; it is moved
-    there, and every trial is that multinomial.  Counts are therefore 0
-    wherever ``p_truth`` is, which the scoring screens rely on.  The int64
-    sum is at most m, so it cannot overflow.
+    The counts are drawn ``_DRAW_BYTES`` of int64 at a time from one
+    generator, and consecutive multinomial draws of one generator give,
+    bit for bit, the rows of a single draw of all n.  numpy's multinomial
+    gives its last outcome whatever the others leave of m, so when
+    ``p_truth`` ends in a 0 the rounding of its conditional probabilities
+    can leave a count there, from m near 10**15 up.  An outcome of
+    probability 0 draws nothing, so that leftover is the remainder that
+    numpy's multinomial over the support alone gives its last outcome, the
+    truth's last of positive probability; it is moved there, and every
+    trial is that multinomial.  Counts are therefore 0 wherever ``p_truth``
+    is, which the scoring screens rely on.  The int64 sum is at most m, so
+    it cannot overflow.
     """
-    counts = np.random.default_rng(seed).multinomial(m, p_truth, size=n)
-    if p_truth[-1] == 0.0:
-        counts[:, np.flatnonzero(p_truth)[-1]] += counts[:, -1]
-        counts[:, -1] = 0
-    return counts
+    rng = np.random.default_rng(seed)
+    rows = max(1, _DRAW_BYTES // (8 * p_truth.size))
+    last = np.flatnonzero(p_truth)[-1]
+    for lo in range(0, out.shape[0], rows):
+        counts = rng.multinomial(m, p_truth,
+                                 size=min(rows, out.shape[0] - lo))
+        if last < p_truth.size - 1:
+            counts[:, last] += counts[:, -1]
+            counts[:, -1] = 0
+        out[lo:lo + rows] = counts
 
 
 def _drawn_blocks(p_truth: np.ndarray,
@@ -365,44 +381,61 @@ def _drawn_blocks(p_truth: np.ndarray,
                   ) -> Iterator[tuple[int, np.ndarray]]:
     """Each job's ``(m, block)`` in job order, drawn on a thread pool.
 
-    A job ``(seed, m, n)`` is the block ``_draw(seed, m, p_truth, n)``, and
-    jobs are taken from ``jobs`` on the calling thread, which draws none of
-    them.  The pool has one worker per CPU, but no more than let
-    ``workers + 1`` full blocks (``8 * _TRIAL_BLOCK * 2**L`` bytes each)
-    fit in the budget of ``check_budget``, and at least one.  A worker
-    starts only when a job is submitted while none is idle, so k jobs start
-    at most min(k, workers) of them.  Nothing is submitted before the first
-    block is asked for, so a caller prepares everything it can before.  A
-    draw's exception is raised in its job's turn.  At most one job more
-    than there are workers is submitted ahead of the block last yielded,
-    each holding one block: the int64 draw, which the caller casts.
-    Finishing or closing the generator cancels the jobs no worker has
-    started and joins the workers; a caller closes it however it leaves,
-    with ``contextlib.closing``.  The workers are not daemons: were the
-    generator never closed, the interpreter's exit would join them after at
-    most ``workers + 1`` pending draws.
+    A job ``(seed, m, n)`` is a float64 block of n rows that
+    ``_draw(seed, m, p_truth, block)`` fills, and jobs are taken from
+    ``jobs`` on the calling thread, which draws none of them.  At most one
+    job more than there are workers is submitted ahead of the block last
+    yielded, each with its block: the first n rows of a buffer of
+    ``_TRIAL_BLOCK`` rows (``8 * _TRIAL_BLOCK * 2**L`` bytes), made on the
+    calling thread.  A yielded block is the caller's until it asks for the
+    next; then its buffer is drawn into again, unless the caller has let go
+    of the block (as scoring does once it copies the open trials smaller),
+    in which case it was freed then, since only a weak reference to it is
+    kept.  So at most ``workers + 2`` buffers are alive, and the pool has
+    one worker per CPU, but no more than let those buffers fit in the
+    budget of ``check_budget``, and at least one.  A worker starts only
+    when a job is submitted while none is idle, so k jobs start at most
+    min(k, workers) of them.  Nothing is submitted before the first block
+    is asked for, so a caller prepares everything it can before.  A draw's
+    exception is raised in its job's turn.  Finishing or closing the
+    generator cancels the jobs no worker has started and joins the
+    workers; a caller closes it however it leaves, with
+    ``contextlib.closing``.  The workers are not daemons: were the
+    generator never closed, the interpreter's exit would join them after
+    at most ``workers + 1`` pending draws.
     """
     n_workers = max(1, min(_cpu_count(), mixtures._BUDGET_BYTES
-                           // (8 * _TRIAL_BLOCK * p_truth.size) - 1))
+                           // (8 * _TRIAL_BLOCK * p_truth.size) - 2))
     pool = ThreadPoolExecutor(n_workers)
     jobs = iter(jobs)
-    ahead = deque()  # (m, future) of each job submitted, not yet yielded
+    ahead = deque()  # (m, future, block) of each job submitted, not yielded
+    yielded = None  # a weak reference to the last yielded block's buffer
 
-    def top_up() -> None:
+    def top_up(buffer: np.ndarray | None = None) -> None:
+        # the first job submitted draws into ``buffer``, the others into
+        # buffers made here
         for seed, m, n in islice(jobs, n_workers + 1 - len(ahead)):
-            ahead.append((m, pool.submit(_draw, seed, m, p_truth, n)))
+            if buffer is None:
+                buffer = np.empty((_TRIAL_BLOCK, p_truth.size))
+            block, buffer = buffer[:n], None
+            ahead.append((m, pool.submit(_draw, seed, m, p_truth, block),
+                          block))
 
     def take() -> tuple[int, np.ndarray]:
-        m, future = ahead.popleft()
-        top_up()
-        return m, future.result()
+        nonlocal yielded
+        m, future, block = ahead.popleft()
+        # the buffer of a block the caller kept goes to the next job, if
+        # there is one, and is freed otherwise
+        top_up(None if yielded is None else yielded())
+        future.result()
+        yielded = weakref.ref(block.base)
+        return m, block
 
     try:
         top_up()
         while ahead:
             # yielding take()'s result keeps no reference to the block
-            # here, so a block the caller casts or compacts is freed as it
-            # drops it
+            # here, so a block the caller lets go of is freed as it does
             yield take()
     finally:
         pool.shutdown(cancel_futures=True)
@@ -458,15 +491,13 @@ def _error_counts(cfg: SimConfig, rows: np.ndarray) -> list[int]:
         del nearness, scale, order
     n_blocks = (cfg.trials + _TRIAL_BLOCK - 1) // _TRIAL_BLOCK
     point_streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.m_values))
-    jobs = ((point_stream.spawn(1)[0], m,
-             min(_TRIAL_BLOCK, cfg.trials - block * _TRIAL_BLOCK))
+    jobs = ((seed, m, min(_TRIAL_BLOCK, cfg.trials - block * _TRIAL_BLOCK))
             for m, point_stream in zip(cfg.m_values, point_streams)
-            for block in range(n_blocks))
+            for block, seed in enumerate(point_stream.spawn(n_blocks)))
     per_m = dict.fromkeys(cfg.m_values, 0)
     with closing(_drawn_blocks(p_truth, jobs)) as blocks:
         for m, counts in blocks:
             # with m == 0 every count is 0, so every rival ties: all errors
-            counts = counts.astype(float)
             # rival-major scores: "some rival reaches its threshold" ORs
             # whole rows of trials together
             lost = np.empty(counts.shape[0], dtype=bool)

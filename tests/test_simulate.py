@@ -409,7 +409,9 @@ class TestErrorCounts:
         m, seed = 10**17, np.random.SeedSequence(0)
         assert np.random.default_rng(seed).multinomial(
             m, p_truth, size=100)[:, -1].any()
-        counts = simulate._draw(seed, m, p_truth, 100)
+        # drawn into int64, so the sums are exact
+        counts = np.empty((100, p_truth.size), dtype=np.int64)
+        simulate._draw(seed, m, p_truth, counts)
         assert not counts[:, ~support].any()
         assert (counts.sum(axis=1) == m).all()
         # the first trial is numpy's multinomial over the support alone
@@ -761,6 +763,36 @@ class TestCommandMemory:
         assert len(alive) == 4 and not any(alive)
 
 
+class TestDraw:
+    @pytest.mark.parametrize("truth_text,flips,m", [
+        ("0\n1\n1\n", (0.1,), 40),
+        ("000000\n101000\n100100\n", (0.3,) * 6, 30),
+        # the truth's last outcome has probability 0, where numpy's
+        # multinomial leaves the rounding of the others in every trial
+        ("000000\n101000\n100100\n", (0.3,) * 5 + (0.0,), 10**17),
+    ], ids=["K2", "K64", "K64-stray"])
+    def test_block_is_one_multinomial_draw(self, truth_text, flips, m):
+        # drawn a sub-draw at a time, straight into float64, with the
+        # stray counts folded onto the truth's last outcome of positive
+        # probability: bit for bit one draw of every trial, folded, cast
+        truth = parse_matrix_text(truth_text)
+        rows = family_rows(truth.n_rows, truth.n_cols, DEFAULT_MAX_MATRICES)
+        p_truth = bmmci.mixtures.mixture_probs_table(
+            rows[[family_index(rows, truth)]],
+            bmmci.mixtures.channel_kernel(FlipProfile(flips)))[0]
+        sub_rows = simulate._DRAW_BYTES // (8 * p_truth.size)
+        n = 3 * sub_rows + 5
+        seed = np.random.SeedSequence(11)
+        expected = np.random.default_rng(seed).multinomial(m, p_truth, size=n)
+        if p_truth[-1] == 0.0:
+            assert expected[:, -1].all()
+            expected[:, np.flatnonzero(p_truth)[-1]] += expected[:, -1]
+            expected[:, -1] = 0
+        block = np.full((n, p_truth.size), np.nan)
+        simulate._draw(seed, m, p_truth, block)
+        assert np.array_equal(block, expected.astype(float))
+
+
 def draw_jobs(count, taken=None):
     """Jobs ``(seed, m, 5)`` with m = 0, 1, ...; ``taken`` records each."""
     for m, seed in enumerate(np.random.SeedSequence(3).spawn(count)):
@@ -805,14 +837,49 @@ class TestDrawnBlocks:
         assert seen == list(range(60))
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("holds", [True, False], ids=["holds", "drops"])
+    def test_buffers_within_the_charge(self, monkeypatch, workers, holds):
+        # a caller that holds each block until it asks for the next gets
+        # its buffer drawn into again; one that drops it, as scoring does
+        # when it copies its open trials smaller, gets it freed and a new
+        # one made.  Either way no more buffers are alive than the
+        # workers + 2 charged to the budget.
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+        made = []  # a weak reference to each buffer made
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                buffer = np.empty(*args, **kwargs)
+                made.append(weakref.ref(buffer))
+                return buffer
+
+        monkeypatch.setattr(simulate, "np", CountingNumpy())
+        seeds = np.random.SeedSequence(3).spawn(60)
+        with closing(simulate._drawn_blocks(self.P,
+                                           draw_jobs(60))) as blocks:
+            for m, block in blocks:
+                assert sum(ref() is not None for ref in made) <= workers + 2
+                assert np.array_equal(block, np.random.default_rng(
+                    seeds[m]).multinomial(m, self.P, size=5))
+                if not holds:
+                    del block
+        if holds:
+            assert len(made) <= workers + 2
+        else:
+            assert len(made) == 60
+
     def test_leaving_early_skips_unstarted_jobs(self, monkeypatch):
         monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
         draw = simulate._draw
         started = []
 
-        def counted(seed, m, p, n):
+        def counted(seed, m, p, out):
             started.append(m)
-            return draw(seed, m, p, n)
+            draw(seed, m, p, out)
 
         monkeypatch.setattr(simulate, "_draw", counted)
         before = threading.active_count()
@@ -831,11 +898,12 @@ class TestDrawnBlocks:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("budget_blocks,workers", [
-        (4, 3), (5.5, 4), (2, 1), (1, 1), (0, 1)])
+        (4, 2), (5.5, 3), (2, 1), (1, 1), (0, 1)])
     def test_blocks_ahead_fit_the_budget(self, monkeypatch, budget_blocks,
                                          workers):
-        # on 64 CPUs, workers + 1 blocks of 8 * _TRIAL_BLOCK * 2 bytes fit
-        # in the budget, and at least one worker draws
+        # on 64 CPUs, the buffers of workers + 2 blocks of
+        # 8 * _TRIAL_BLOCK * 2 bytes fit in the budget, and at least one
+        # worker draws
         monkeypatch.setattr(simulate, "_cpu_count", lambda: 64)
         monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 5)
         monkeypatch.setattr(bmmci.mixtures, "_BUDGET_BYTES",
@@ -862,7 +930,7 @@ class TestDrawnBlocks:
 
     def test_blocks_ahead_at_the_largest_table(self, monkeypatch):
         # at L = 13 a full block is 256 MiB, so the 1 GiB budget holds the
-        # blocks of 3 workers, however many CPUs there are
+        # buffers of 2 workers, however many CPUs there are
         monkeypatch.setattr(simulate, "_cpu_count", lambda: 64)
         pools = []
 
@@ -874,7 +942,7 @@ class TestDrawnBlocks:
         p = np.full(1 << 13, 2.0 ** -13)
         with closing(simulate._drawn_blocks(p, draw_jobs(2))) as blocks:
             assert [m for m, _ in blocks] == [0, 1]
-        assert pools == [3]
+        assert pools == [2]
 
     def test_workers_joined_after_return(self):
         before = threading.active_count()
@@ -885,10 +953,10 @@ class TestDrawnBlocks:
         monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 300)
         draw = simulate._draw
 
-        def failing(seed, m, p, n):
+        def failing(seed, m, p, out):
             if seed.spawn_key == (0, 2):  # the first m's third block
                 raise RuntimeError("draw failed")
-            return draw(seed, m, p, n)
+            draw(seed, m, p, out)
 
         monkeypatch.setattr(simulate, "_draw", failing)
         before = threading.active_count()
@@ -932,15 +1000,16 @@ class TestDrawnBlocks:
 
     def test_scoring_error_stops_workers(self, monkeypatch):
         monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 300)
-        draw = simulate._draw
+        drawn_blocks = simulate._drawn_blocks
 
-        def widened(seed, m, p, n):
-            counts = draw(seed, m, p, n)
-            if seed.spawn_key == (0, 2):  # one outcome too many to score
-                counts = np.hstack([counts, counts[:, :1]])
-            return counts
+        def widened(p_truth, jobs):
+            with closing(drawn_blocks(p_truth, jobs)) as blocks:
+                for turn, (m, block) in enumerate(blocks):
+                    if turn == 2:  # one outcome too many to score
+                        block = np.hstack([block, block[:, :1]])
+                    yield m, block
 
-        monkeypatch.setattr(simulate, "_draw", widened)
+        monkeypatch.setattr(simulate, "_drawn_blocks", widened)
         before = threading.active_count()
         with pytest.raises(ValueError) as failure:
             error_counts(TRUTH, PROFILE, (5, 10), 3000, 1)
