@@ -258,37 +258,36 @@ def _solve(probs, codes, best) -> tuple[tuple, np.ndarray]:
     return best, codes[:done]
 
 
-def _min_pair(probs, row_blocks,
+def _min_pair(probs, side, row_blocks,
               images=lambda codes: codes[:0]) -> tuple[tuple, np.ndarray]:
     """Smallest key ``(value, i, j, lambda_star)`` over the pairs of the tiles.
 
-    ``row_blocks`` lists blocks ``(rows, spans)`` in increasing i.  ``rows``
-    holds sources (rows of ``probs``), a slice or an increasing index array,
-    and each span ``(c0, c1)`` makes a tile of the pairs with i in ``rows``
-    and j in ``range(c0, c1)``.  A tile below the diagonal (``c1`` at most
-    its first i) keeps every pair; any other keeps only those with j > i.
-    Row i is the solver's ``p1``.  Returns the key and the codes
+    ``row_blocks`` lists blocks ``(rows, c0, c1)`` in increasing i; ``rows``
+    are sources (rows of ``probs``), a slice or an increasing index array.
+    Tile k of a block pairs them with the j in ``[c0 + k * side, c1)``, at
+    most ``side``, keeping only j > i unless it ends at or before its
+    first i.  Row i is the solver's ``p1``.  Returns the key and the codes
     ``i * M + j`` (``_solve``) of every pair solved.
 
     Each block first solves its pairs within ``PRUNE_MARGIN`` of zero, up to
     a block that holds a zero; then one batch solves the survivors of the
     tangent bound and the codes ``images`` maps theirs to (module docstring).
 
-    The square roots of the rows the spans meet, from the first c0 to the
-    last c1, are taken once.  Those of a block's rows are taken when the
-    block is scanned and held for its tiles only; each later pass takes
-    them again for the blocks it reads.  So beside ``probs`` the call holds
-    the spanned rows' roots and one block's.
+    The roots of the columns the blocks span, from the first c0 to the last
+    c1, are taken once, and a block's rows are rooted for its tiles only,
+    again by each later pass that reads it.  So the call holds the table
+    ``probs``, the spanned columns' roots, one block's roots and one float
+    per tile, its largest coefficient.
     """
     n = probs.shape[0]
-    base = min(c0 for _, spans in row_blocks for c0, _ in spans)
-    end = max(c1 for _, spans in row_blocks for _, c1 in spans)
+    base = min(c0 for _, c0, _ in row_blocks)
+    end = max(c1 for _, _, c1 in row_blocks)
     column_roots = np.sqrt(probs[base:end])
     positions = np.arange(n)
 
     def coefficients(roots, i_rows, c0, c1):
         """Coefficients of the tile of the rows at ``i_rows``, whose square
-        roots are ``roots``, and the span ``(c0, c1)``."""
+        roots are ``roots``, and the columns ``range(c0, c1)``."""
         bhatta = roots @ column_roots[c0 - base:c1 - base].T
         if c0 <= i_rows[-1] and c1 > i_rows[0]:
             # -1 lies below every coefficient and every threshold
@@ -298,21 +297,21 @@ def _min_pair(probs, row_blocks,
     def between(blocks, lo, hi, roots=None):
         """Codes of the pairs whose coefficient lies in [lo, hi), increasing.
 
-        ``blocks`` lists ``(rows, spans, tops)``, ``tops`` the largest
+        ``blocks`` lists ``(rows, c0, c1, tops)``, ``tops`` the largest
         coefficient of each tile.  The rows of each block read are rooted
         here, unless ``roots`` holds those of the one block given.
         """
         found = [np.empty(0, dtype=np.int64)]
-        for rows, spans, tops in blocks:
-            if max(tops) < lo:
+        for rows, c0, c1, tops in blocks:
+            starts = (c0 + side * np.flatnonzero(tops >= lo)).tolist()
+            if not starts:
                 continue
             held = np.sqrt(probs[rows]) if roots is None else roots
             i_rows = positions[rows]
-            for (c0, c1), top in zip(spans, tops):
-                if top >= lo:
-                    bhatta = coefficients(held, i_rows, c0, c1)
-                    i, j = np.nonzero((bhatta >= lo) & (bhatta < hi))
-                    found.append(i_rows[i] * n + j + c0)
+            for t0 in starts:
+                bhatta = coefficients(held, i_rows, t0, min(t0 + side, c1))
+                i, j = np.nonzero((bhatta >= lo) & (bhatta < hi))
+                found.append(i_rows[i] * n + j + t0)
             del held
         return np.sort(np.concatenate(found))
 
@@ -320,10 +319,11 @@ def _min_pair(probs, row_blocks,
     # pair of zero information has BC >= zero_cut.
     zero_cut = math.exp(-PRUNE_MARGIN)
     best, solved, scanned = (math.inf, math.inf, math.inf, 0.5), [], []
-    for rows, spans in row_blocks:
+    for rows, c0, c1 in row_blocks:
         roots, i_rows = np.sqrt(probs[rows]), positions[rows]
-        block = (rows, spans, [coefficients(roots, i_rows, *span).max()
-                               for span in spans])
+        block = (rows, c0, c1, np.array([
+            coefficients(roots, i_rows, t0, min(t0 + side, c1)).max()
+            for t0 in range(c0, c1, side)]))
         codes = between([block], zero_cut, math.inf, roots)
         del roots
         best, codes = _solve(probs, codes, best)
@@ -332,7 +332,7 @@ def _min_pair(probs, row_blocks,
             return best, np.concatenate(solved)
         scanned.append(block)
     # Any subset of the pairs of largest coefficient gives a bound.
-    top_coefficient = max(max(tops) for _, _, tops in scanned)
+    top_coefficient = max(tops.max() for *_, tops in scanned)
     top = between(scanned, min(top_coefficient, zero_cut),
                   zero_cut)[:_SOLVE_PAIRS]
     bound = float(tangent_bound(probs[top // n], probs[top % n]).min(
@@ -348,8 +348,7 @@ def _min_pair(probs, row_blocks,
 
 def _upper_tiles(heads: np.ndarray, n: int, side: int) -> list:
     """Row blocks of the pairs (i, j > i) with i in ``heads``, j below ``n``."""
-    return [(block, [(c0, min(c0 + side, n))
-                     for c0 in range(block[0], n, side)])
+    return [(block, block[0], n)
             for block in np.array_split(heads, range(side, heads.size, side))]
 
 
@@ -404,10 +403,11 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
     counts = _rank_counts(n_rows, n_cols)
     firsts = _orbit_firsts(rows, counts)
     best, solved = _min_pair(
-        probs, _upper_tiles(firsts, n, side),
+        probs, side, _upper_tiles(firsts, n, side),
         lambda codes: _pair_images(rows, counts, codes, firsts))
     if best[0] <= PRUNE_MARGIN:
-        best, rest = _min_pair(probs, _upper_tiles(np.arange(n), n, side))
+        best, rest = _min_pair(probs, side,
+                               _upper_tiles(np.arange(n), n, side))
         solved = _distinct(np.concatenate((solved, rest)))
     value, bi, bj, lam = best
     return ClosestPairResult(
@@ -440,10 +440,10 @@ def exact_error_exponent(truth: BinaryMatrix, profile: FlipProfile,
     _check_table(*rows.shape, truth.n_cols)
     probs = mixture_probs_table(rows, channel_kernel(profile))
     height = max(1, _TILE_MADDS // probs.shape[1])
-    strips = [(slice(r0, min(r0 + height, stop)), [(t, t + 1)])
+    strips = [(slice(r0, min(r0 + height, stop)), t, t + 1)
               for start, stop in ((0, t), (t + 1, n))
               for r0 in range(start, stop, height)]
-    (value, other, _, _), _ = _min_pair(probs, strips)
+    (value, other, _, _), _ = _min_pair(probs, 1, strips)
     return value, family_source(rows, other, truth.n_cols)
 
 

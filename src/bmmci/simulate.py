@@ -491,9 +491,13 @@ def _error_counts(cfg: SimConfig, rows: np.ndarray) -> list[int]:
         del nearness, scale, order
     n_blocks = (cfg.trials + _TRIAL_BLOCK - 1) // _TRIAL_BLOCK
     point_streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.m_values))
+    # seeds are spawned _TRIAL_BLOCK at a time, as the jobs are taken; a
+    # SeedSequence counts its children, so the slices spawn the same seeds
     jobs = ((seed, m, min(_TRIAL_BLOCK, cfg.trials - block * _TRIAL_BLOCK))
             for m, point_stream in zip(cfg.m_values, point_streams)
-            for block, seed in enumerate(point_stream.spawn(n_blocks)))
+            for at in range(0, n_blocks, _TRIAL_BLOCK)
+            for block, seed in enumerate(point_stream.spawn(
+                min(_TRIAL_BLOCK, n_blocks - at)), at))
     per_m = dict.fromkeys(cfg.m_values, 0)
     with closing(_drawn_blocks(p_truth, jobs)) as blocks:
         for m, counts in blocks:

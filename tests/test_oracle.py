@@ -230,6 +230,26 @@ class TestClosestPair:
         with pytest.raises(InvalidInputError):
             closest_pair(2, 2, FlipProfile((0.1,)))
 
+    def test_many_block_answer_and_peak(self):
+        # 10,659 orbit-first heads make 84 row blocks of 107,297 tiles in
+        # all.  Beside the 170,544 x 16 x 8-byte table the scan holds the
+        # square roots of the columns, the (M, N) rows and one float per
+        # tile: a Python object per tile took the peak to 3.31x.  The answer
+        # was recorded when each tile was a (c0, c1) tuple.
+        table = 170544 * 16 * 8
+        tracemalloc.start()
+        try:
+            res = closest_pair(7, 4, FlipProfile.constant(0.3, 4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.8 * table
+        assert repr(res.min_ci) == "0.0006780782204685032"
+        assert (res.pair.a.rows, res.pair.b.rows) == ((0, 0, 3, 3, 5, 5, 6),
+                                                      (0, 1, 2, 3, 4, 5, 7))
+        assert res.pairs_solved == 64
+        assert res.lambda_star == 0.4999200900998914
+
 
 class TestExactness:
     """The prefiltered oracles return exactly what an unpruned scan does."""

@@ -397,6 +397,39 @@ class TestErrorCounts:
             monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
             assert simulate._error_counts(cfg, table[0]) == reference, workers
 
+    def test_seeds_spawned_in_slices(self, monkeypatch):
+        # 10**9 trials are 244,141 blocks per m: spawned at once, the first
+        # m's seeds took 92 MB before any block was drawn
+        taken, peaks = [], []
+
+        def drawn_blocks(p_truth, jobs):
+            tracemalloc.start()
+            try:
+                taken.extend(itertools.islice(jobs, 3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            yield from ()
+
+        monkeypatch.setattr(simulate, "_drawn_blocks", drawn_blocks)
+        cfg = SimConfig(truth=TRUTH, profile=PROFILE, m_values=(20, 40, 60),
+                        trials=10 ** 9, seed=1)
+        simulate._error_counts(cfg, family_rows(3, 1, DEFAULT_MAX_MATRICES))
+        assert [seed.spawn_key for seed, _, _ in taken] == [
+            (0, 0), (0, 1), (0, 2)]
+        assert [(m, n) for _, m, n in taken] == [(20, 4096)] * 3
+        assert peaks[0] < 4 * 2**20
+
+    def test_sliced_seeds_match_one_spawn(self, monkeypatch):
+        # blocks of 7 give 61 blocks per m, spawned in nine slices of at
+        # most 7 seeds; the reference spawns each m's 61 seeds at once
+        monkeypatch.setattr(simulate, "_TRIAL_BLOCK", 7)
+        table = family_table(3, 1, PROFILE, DEFAULT_MAX_MATRICES)
+        cfg = SimConfig(truth=TRUTH, profile=PROFILE, m_values=(5, 20),
+                        trials=7 * 60 + 3, seed=2)
+        assert simulate._error_counts(cfg, table[0]) == (
+            reference_error_counts(cfg, table))
+
     def test_counts_stay_on_the_truth_support(self):
         # the bench's 3x6 truth with a flip-free last column: the truth's
         # last outcome has probability 0, and numpy's multinomial leaves
