@@ -20,6 +20,15 @@ the lambda bracket from 1 to ``0.618**60``, about 2.9e-13, below
 ``LAMBDA_TOL``.  ``ChernoffResult.iterations`` is ``STEPS``, or 0 when the
 value is settled without a search (identical distributions, disjoint
 supports); ``converged`` says the final bracket is within ``LAMBDA_TOL``.
+
+The search runs over chunks of about ``_CHUNK = 2**15`` table entries
+(``2**15 // K`` rows).  Each chunk is copied outcome-major, (K, rows), so
+a probe's products, row maxima and exponentials run along contiguous
+arrays in five preallocated buffers of one chunk (1.3 MB); the
+exponentials are copied back pair-major and summed there, so each row's
+sum keeps numpy's order and every row gets the bits it gets alone.  A
+call holds its two log tables and at most one masked copy with the masks,
+about 3.4x the B x K x 8 bytes of one input, plus those buffers.
 """
 
 from __future__ import annotations
@@ -37,6 +46,11 @@ _INVPHI2 = 1.0 - _INVPHI
 
 LAMBDA_TOL = 1e-12
 STEPS = 60
+# Table entries per search chunk.  On a 2-core Xeon with 2 MB of L2 per
+# core, solver calls took (2000, 64) 60/48/50/53 ms, (15360, 64)
+# 458/405/410/467 ms and (4096, 256) 584/452/498/467 ms at 2**14, 2**15,
+# 2**16 and 2**17 entries (medians of 4).
+_CHUNK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -79,13 +93,70 @@ def _logsumexp(t: np.ndarray) -> np.ndarray:
     return tmax[:, 0] + np.log(np.exp(t - tmax).sum(axis=1))
 
 
+def _search(logp1: np.ndarray, logp2: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section search of each row's ``log f_lambda`` over (0, 1),
+    one chunk of rows at a time (see the module docstring).
+
+    Returns the final brackets' midpoints and ``log f`` there.  Every probe
+    makes ``_logsumexp``'s operations on each row, in its order.
+    """
+    n, k = logp1.shape
+    rows = max(1, _CHUNK // k)
+    lam = np.empty(n)
+    log_f_min = np.empty(n)
+    flat = [np.empty(min(rows, n) * k) for _ in range(5)]
+    # the new probe's offset into [a, b], indexed by "the bracket shrinks
+    # from the right": the old c becomes d, or the old d becomes c
+    coef = np.array([_INVPHI, _INVPHI2])
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        w = hi - lo
+        l1, l2, t, u = (buf[:k * w].reshape(k, w) for buf in flat[:4])
+        e = flat[4][:k * w].reshape(w, k)
+        l1[...] = logp1[lo:hi].T
+        l2[...] = logp2[lo:hi].T
+
+        def log_f(x: np.ndarray) -> np.ndarray:
+            np.multiply(l1, x, out=t)
+            np.multiply(l2, 1.0 - x, out=u)
+            np.add(t, u, out=t)
+            top = np.maximum.reduce(t, axis=0)  # exact in any order
+            np.subtract(t, top, out=t)
+            np.exp(t, out=t)
+            e[...] = t.T
+            return top + np.log(e.sum(axis=1))
+
+        a = np.zeros(w)
+        b = np.ones(w)
+        c = a + _INVPHI2 * (b - a)
+        d = a + _INVPHI * (b - a)
+        fc = log_f(c)
+        fd = log_f(d)
+        for _ in range(STEPS):
+            shrink_right = fc < fd
+            a = np.where(shrink_right, a, c)
+            b = np.where(shrink_right, d, b)
+            probe = a + coef[shrink_right.view(np.int8)] * (b - a)
+            c, d = (np.where(shrink_right, probe, d),
+                    np.where(shrink_right, c, probe))
+            f_new = log_f(probe)
+            fc, fd = (np.where(shrink_right, f_new, fd),
+                      np.where(shrink_right, fc, f_new))
+        lam[lo:hi] = 0.5 * (a + b)
+        log_f_min[lo:hi] = log_f(lam[lo:hi])
+    return lam, log_f_min
+
+
 def chernoff_info_batch(p1: np.ndarray, p2: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Chernoff information for many pairs of distributions at once.
 
     Inputs are probability arrays of shape (B, K).  Returns ``(values,
     lambda_stars)``; identical pairs and pairs with disjoint supports report
-    lambda 0.5.
+    lambda 0.5.  The rows left to the search are searched ``2**15 // K`` at
+    a time in outcome-major copies (see the module docstring); the call
+    holds at most about 3.4x B x K x 8 bytes, plus 1.3 MB of buffers.
     """
     with np.errstate(divide="ignore"):  # -inf stands for a zero
         logp1, logp2 = np.log(p1), np.log(p2)
@@ -108,32 +179,7 @@ def chernoff_info_batch(p1: np.ndarray, p2: np.ndarray
         return values, lams
     if not live.all():
         logp1, logp2, differ = logp1[live], logp2[live], differ[live]
-
-    def log_f(lam: np.ndarray) -> np.ndarray:
-        return _logsumexp(lam[:, None] * logp1 + (1.0 - lam[:, None]) * logp2)
-
-    a = np.zeros(logp1.shape[0])
-    b = np.ones(logp1.shape[0])
-    c = a + _INVPHI2 * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = log_f(c)
-    fd = log_f(d)
-    # the new probe's offset into [a, b], indexed by "the bracket shrinks
-    # from the right": the old c becomes d, or the old d becomes c
-    coef = np.array([_INVPHI, _INVPHI2])
-    for _ in range(STEPS):
-        shrink_right = fc < fd
-        a = np.where(shrink_right, a, c)
-        b = np.where(shrink_right, d, b)
-        probe = a + coef[shrink_right.view(np.int8)] * (b - a)
-        c, d = (np.where(shrink_right, probe, d),
-                np.where(shrink_right, c, probe))
-        f_new = log_f(probe)
-        fc, fd = (np.where(shrink_right, f_new, fd),
-                  np.where(shrink_right, fc, f_new))
-
-    lam = 0.5 * (a + b)
-    log_f_min = log_f(lam)
+    lam, log_f_min = _search(logp1, logp2)
     if differ.any():
         # Only where the supports differ can an endpoint limit lie below the
         # interior; ties go to the midpoint, then lambda 0, then lambda 1.

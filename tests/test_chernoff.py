@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bmmci import (
     mixture_distribution,
     symmetric_ci,
 )
+from bmmci import chernoff
 from bmmci.chernoff import (STEPS, chernoff_info_batch, tangent_bound,
                             two_point_ci)
 from conftest import bernoulli_cis, random_distribution
@@ -29,6 +31,52 @@ def _pairs_with_zeros(draw):
     pairs = draw(st.lists(st.tuples(weights, weights), min_size=1, max_size=8))
     p1 = np.array([a for a, _ in pairs], dtype=float)
     p2 = np.array([b for _, b in pairs], dtype=float)
+    return (p1 / p1.sum(axis=1, keepdims=True),
+            p2 / p2.sum(axis=1, keepdims=True))
+
+
+def _pair_major_search(logp1, logp2):
+    """The search on pair-major (B, K) rows, each probe in fresh arrays:
+    the operations, and their order, that the chunked search must give
+    every row."""
+
+    def log_f(lam):
+        t = lam[:, None] * logp1 + (1.0 - lam[:, None]) * logp2
+        tmax = t.max(axis=1, keepdims=True)
+        return tmax[:, 0] + np.log(np.exp(t - tmax).sum(axis=1))
+
+    a = np.zeros(logp1.shape[0])
+    b = np.ones(logp1.shape[0])
+    c = a + chernoff._INVPHI2 * (b - a)
+    d = a + chernoff._INVPHI * (b - a)
+    fc, fd = log_f(c), log_f(d)
+    coef = np.array([chernoff._INVPHI, chernoff._INVPHI2])
+    for _ in range(STEPS):
+        shrink_right = fc < fd
+        a = np.where(shrink_right, a, c)
+        b = np.where(shrink_right, d, b)
+        probe = a + coef[shrink_right.view(np.int8)] * (b - a)
+        c, d = (np.where(shrink_right, probe, d),
+                np.where(shrink_right, c, probe))
+        f_new = log_f(probe)
+        fc, fd = (np.where(shrink_right, f_new, fd),
+                  np.where(shrink_right, fc, f_new))
+    lam = 0.5 * (a + b)
+    return lam, log_f(lam)
+
+
+def _mixed_rows(rng, n_rows, size):
+    """Random pairs of rows, among them identical pairs, disjoint pairs,
+    pairs whose zeros differ and pairs that share their zeros."""
+    p1 = rng.dirichlet(np.ones(size), size=n_rows)
+    p2 = rng.dirichlet(np.ones(size), size=n_rows)
+    kind = rng.integers(0, 5, n_rows)
+    p2[kind == 0] = p1[kind == 0]
+    p1[kind == 1] = np.eye(size)[0]
+    p2[kind == 1] = np.eye(size)[-1]
+    p1[kind == 2, :size // 2] = 0.0
+    p2[kind == 2, -1] = 0.0
+    p1[kind == 3, -1] = p2[kind == 3, -1] = 0.0
     return (p1 / p1.sum(axis=1, keepdims=True),
             p2 / p2.sum(axis=1, keepdims=True))
 
@@ -193,6 +241,46 @@ class TestChernoffInfoBatch:
         for row in range(6):
             alone = chernoff_info_batch(p1[row:row + 1], p2[row:row + 1])
             assert (values[row], lams[row]) == (alone[0][0], alone[1][0])
+        # a batch of one chunk and two rows, cut at and next to the edge
+        size = 8
+        edge = chernoff._CHUNK // size
+        p1, p2 = _mixed_rows(rng, edge + 2, size)
+        values, lams = chernoff_info_batch(p1, p2)
+        for cut in (edge - 1, edge, edge + 1):
+            for part in (slice(0, cut), slice(cut, None)):
+                alone = chernoff_info_batch(p1[part], p2[part])
+                assert values[part].tobytes() == alone[0].tobytes()
+                assert lams[part].tobytes() == alone[1].tobytes()
+
+    @pytest.mark.parametrize("size", [2, 16, 64, 256])
+    def test_same_bits_as_the_pair_major_search(self, rng, monkeypatch,
+                                                size):
+        # three chunks and part of a fourth
+        rows = chernoff._CHUNK // size
+        p1, p2 = _mixed_rows(rng, 3 * rows + rows // 2, size)
+        values, lams = chernoff_info_batch(p1, p2)
+        monkeypatch.setattr(chernoff, "_search", _pair_major_search)
+        expected = chernoff_info_batch(p1, p2)
+        assert values.tobytes() == expected[0].tobytes()
+        assert lams.tobytes() == expected[1].tobytes()
+        assert np.isinf(values).any() and (values == 0.0).any()
+        assert ((values > 0.0) & np.isfinite(values)).any()
+
+    def test_memory_within_its_tables(self, rng):
+        # 16384 x 256 with zeros that differ in a third of the rows: two
+        # log tables, their masked copy and the masks, not a table per
+        # probe
+        p1 = rng.dirichlet(np.ones(256), size=16384)
+        p2 = rng.dirichlet(np.ones(256), size=16384)
+        p2[::3, :128] = 0.0
+        p2 /= p2.sum(axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            chernoff_info_batch(p1, p2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * p1.nbytes
 
     @settings(max_examples=200, deadline=None)
     @given(_pairs_with_zeros())
