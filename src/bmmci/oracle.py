@@ -23,10 +23,12 @@ orbit's first member.  Phase 1 prunes those pairs, and its image of the
 minimizer survives: it has the same value to within rounding, far inside
 the margin.  The solver's last bits depend on the coordinates, so the batch
 also holds every survivor's images, solved as the full scan solves them:
-the answer is the full scan's to the last bit.  A batch minimum within the
-margin of zero runs the full scan instead, since the images could then
-cover every pair (at f = 1/2 all have zero information).  It stops at the
-first solver call that settles a zero, the pairs going in (i, j) order.
+the answer is the full scan's to the last bit.  A chunk of survivors takes
+its images under all 2**L masks at once, the masks on a leading axis of one
+broadcast XOR.  A batch minimum within the margin of zero runs the full
+scan instead, since the images could then cover every pair (at f = 1/2 all
+have zero information).  It stops at the first solver call that settles a
+zero, the pairs going in (i, j) order.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .chernoff import chernoff_info_batch, tangent_bound
 from .exceptions import InvalidInputError, ResourceLimitError
 from .mixtures import (BinaryMatrix, FlipProfile, channel_kernel, check_budget,
                        check_profile, check_shape, decimal_text,
-                       mixture_probs_table)
+                       mixture_probs_table, row_chunks)
 from .reductions import MatrixPair, parity_words
 
 DEFAULT_MAX_MATRICES = 10 ** 6
@@ -131,10 +133,14 @@ def _ranks(counts: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 def _xor_images(rows: np.ndarray, counts: np.ndarray,
-                mask: int | np.ndarray) -> np.ndarray:
-    """Index of each source of ``rows`` XOR-ed with ``mask``, one mask or
-    a column of one mask per source."""
-    return _ranks(counts, np.sort(rows ^ mask, axis=1))
+                masks: int | np.ndarray) -> np.ndarray:
+    """Index of each source of ``rows`` XOR-ed with ``masks``.
+
+    The words of each source lie along the last axis of ``rows``, and
+    ``masks`` broadcasts against it: one mask, a column of one mask per
+    source, or masks on a leading axis, for one array of indices per mask.
+    """
+    return _ranks(counts, np.sort(rows ^ masks, axis=-1))
 
 
 def _orbit_firsts(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -358,14 +364,20 @@ def _pair_images(rows, counts, codes, firsts) -> np.ndarray:
     An image XORs both sources of a pair with one mask.  Images whose i is
     in ``firsts`` are left out: they are pairs of phase 1, solved or pruned
     as unable to win.  The codes are distinct and increasing.
+
+    The 2**L masks lie on a leading axis, so each chunk of codes takes all
+    its images in one broadcast: a chunk's XOR-ed sources are a
+    (2**L, chunk, N) int64 array per side, about 256 KiB (``row_chunks``).
     """
     n = rows.shape[0]
     scanned = np.zeros(n, dtype=bool)
     scanned[firsts] = True
-    a, b = rows[codes // n], rows[codes % n]
+    masks = np.arange(counts.shape[1] - 1)[:, None, None]
     images = [np.empty(0, dtype=np.int64)]
-    for mask in range(counts.shape[1] - 1):
-        ia, ib = _xor_images(a, counts, mask), _xor_images(b, counts, mask)
+    for chunk in row_chunks(codes.size, 8 * rows.shape[1] * masks.size):
+        part = codes[chunk]
+        ia = _xor_images(rows[part // n], counts, masks)
+        ib = _xor_images(rows[part % n], counts, masks)
         i, j = np.minimum(ia, ib), np.maximum(ia, ib)
         images.append((i * n + j)[~scanned[i]])
     return _distinct(np.concatenate(images))

@@ -88,6 +88,37 @@ def _orbit_firsts_by_sets(n, l):
                        for a in range(1 << l)) for r in rows})
 
 
+def _pair_images_by_masks(rows, counts, codes, firsts):
+    """``_pair_images`` as one loop iteration per mask, two sorts each."""
+    n = rows.shape[0]
+    scanned = np.zeros(n, dtype=bool)
+    scanned[firsts] = True
+    a, b = rows[codes // n], rows[codes % n]
+    images = [np.empty(0, dtype=np.int64)]
+    for mask in range(counts.shape[1] - 1):
+        ia = bmmci.oracle._ranks(counts, np.sort(a ^ mask, axis=1))
+        ib = bmmci.oracle._ranks(counts, np.sort(b ^ mask, axis=1))
+        i, j = np.minimum(ia, ib), np.maximum(ia, ib)
+        images.append((i * n + j)[~scanned[i]])
+    return np.unique(np.concatenate(images))
+
+
+def _image_codes(n, l, seed):
+    """Random increasing pair codes of the (n, l) family: random pairs,
+    pairs whose i is orbit-first, and pairs ending at the last source."""
+    rows = canonical_rows(n, l)
+    counts = bmmci.oracle._rank_counts(n, l)
+    firsts = bmmci.oracle._orbit_firsts(rows, counts)
+    m = rows.shape[0]
+    rng = np.random.default_rng(seed)
+    heads = firsts[firsts < m - 1]
+    i = np.concatenate((rng.integers(0, m - 1, 600), rng.choice(heads, 600),
+                        rng.integers(0, m - 1, 50)))
+    j = rng.integers(i + 1, m)
+    j[-50:] = m - 1
+    return rows, counts, np.unique(i * m + j), firsts
+
+
 class TestEnumeration:
     def test_two_rows_one_column(self):
         mats = list(enumerate_matrices(2, 1))
@@ -407,6 +438,49 @@ class TestOrbits:
         counts = bmmci.oracle._rank_counts(n, l)
         assert rows.shape[0] == total
         assert bmmci.oracle._orbit_firsts(rows, counts).size == firsts
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1])
+    @pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 5)
+                                     for l in range(1, 5)] + [(3, 5)])
+    def test_images_match_mask_loop(self, monkeypatch, n, l, chunk_bytes):
+        # one code per chunk (chunk_bytes 1) puts every code at a chunk edge
+        if chunk_bytes is not None:
+            monkeypatch.setattr(bmmci.mixtures, "_CHUNK_BYTES", chunk_bytes)
+        rows, counts, codes, firsts = _image_codes(n, l, seed=10 * n + l)
+        m = rows.shape[0]
+        assert np.isin(codes // m, firsts).any()
+        assert (codes % m == m - 1).any()
+        for part in (codes, codes[:1], codes[:0]):
+            images = bmmci.oracle._pair_images(rows, counts, part, firsts)
+            expected = _pair_images_by_masks(rows, counts, part, firsts)
+            assert images.dtype == expected.dtype == np.int64
+            np.testing.assert_array_equal(images, expected, strict=True)
+
+    def test_images_peak(self, monkeypatch):
+        # the 2,276 phase-1 survivors of (3, 5) at f = 0.499 have 42,044
+        # images: the per-mask loop peaked at 1.85 MB and one broadcast over
+        # all of them at 4.1 MB; chunks of codes stay below 2 MB
+        images_of = bmmci.oracle._pair_images
+
+        class Survivors(Exception):
+            pass
+
+        def capture(*args):
+            raise Survivors(args)
+
+        monkeypatch.setattr(bmmci.oracle, "_pair_images", capture)
+        with pytest.raises(Survivors) as caught:
+            closest_pair(3, 5, FlipProfile.constant(0.499, 5))
+        args = caught.value.args[0]
+        assert args[2].size == 2276
+        tracemalloc.start()
+        try:
+            images = images_of(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert images.size == 42044
+        assert peak < 2 * 10 ** 6
 
     def test_cap_scale_answer_and_peak(self):
         # the answer was recorded from the full scan over all 1,046,965,920
