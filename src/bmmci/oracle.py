@@ -29,16 +29,24 @@ broadcast XOR.  A batch minimum within the margin of zero runs the full
 scan instead, since the images could then cover every pair (at f = 1/2 all
 have zero information).  It stops at the first solver call that settles a
 zero, the pairs going in (i, j) order.
+
+The scan reads one M x 2**L array, the square roots of the family table,
+built once and rooted in place.  The solver and the tangent bound read the
+probability rows of their pairs only, remade from the sources with the
+table's bits.  So beside the rows and the root table a call holds one
+block's gathered roots, one float per tile and one solver chunk's remade
+rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
+from . import mixtures
 from .bounds import _check_pair
 from .chernoff import chernoff_info  # noqa: F401  looked up by bench/spans.py
 from .chernoff import chernoff_info_batch, tangent_bound
@@ -197,11 +205,30 @@ def family_table(n_rows: int, n_cols: int, profile: FlipProfile,
     The shifted kernels, at most (2**L, 2**L), are gathered through an
     int64 index of their shape, and neither is larger than the table, since
     M >= 2**L.  At its peak the call holds the rows, the table and the
-    shifted kernels, beside one row chunk's gather.
+    shifted kernels, beside one row chunk's gather.  The scans read
+    ``_root_table`` instead; this is the reference table of the tests.
     """
     check_profile(profile, n_cols)
     rows = family_rows(n_rows, n_cols, max_matrices)
     return rows, mixture_probs_table(rows, channel_kernel(profile))
+
+
+def _root_table(rows: np.ndarray, profile: FlipProfile
+                ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """``(roots, probs_of)``: the square roots of the family table of
+    ``rows``, and a function from source indices to their probability rows.
+
+    The table is built once and rooted in place, so no second M x 2**L
+    array is made.  ``probs_of`` remakes its rows from the sources, bit for
+    bit the table's: ``mixture_probs_table`` sums each row alike whatever
+    the rows beside it.
+    """
+    kernel = channel_kernel(profile)
+    roots = mixture_probs_table(rows, kernel)
+    np.sqrt(roots, out=roots)
+    # the mixtures attribute, which bench/spans.py leaves unwrapped, so
+    # mixtures.table_calls counts whole tables only
+    return roots, lambda at: mixtures.mixture_probs_table(rows[at], kernel)
 
 
 def family_index(rows: np.ndarray, source: BinaryMatrix) -> int:
@@ -242,21 +269,23 @@ class ClosestPairResult:
     pairs_solved: int
 
 
-def _solve(probs, codes, best) -> tuple[tuple, np.ndarray]:
+def _solve(probs_of, n, codes, best) -> tuple[tuple, np.ndarray]:
     """Fold the pairs coded ``codes`` into the key ``best``.
 
-    Pair ``(i, j)`` is coded ``i * M + j``, M being the rows of ``probs``;
-    the codes increase, and row i is the solver's ``p1``.  Returns the
+    Pair ``(i, j)`` of the ``n`` sources is coded ``i * n + j``; the codes
+    increase, and row i is the solver's ``p1``.  ``probs_of`` maps source
+    indices to their probability rows, so the call holds one chunk of
+    ``_SOLVE_PAIRS`` pairs' rows, remade from the sources.  Returns the
     smallest key ``(value, i, j, lambda_star)`` and the codes solved, a
     prefix of ``codes``: once the key has value 0 and comes before the next
     pair, no later pair can beat it.
     """
     done = 0
     for at in range(0, codes.size, _SOLVE_PAIRS):
-        i, j = np.divmod(codes[at:at + _SOLVE_PAIRS], probs.shape[0])
+        i, j = np.divmod(codes[at:at + _SOLVE_PAIRS], n)
         if best[:3] < (0.0, i[0], j[0]):
             break
-        part, lams = chernoff_info_batch(probs[i], probs[j])
+        part, lams = chernoff_info_batch(probs_of(i), probs_of(j))
         k = np.lexsort((j, i, part))[0]
         best = min(best, (float(part[k]), int(i[k]), int(j[k]),
                           float(lams[k])))
@@ -264,61 +293,55 @@ def _solve(probs, codes, best) -> tuple[tuple, np.ndarray]:
     return best, codes[:done]
 
 
-def _min_pair(probs, side, row_blocks,
+def _min_pair(roots, probs_of, side, row_blocks,
               images=lambda codes: codes[:0]) -> tuple[tuple, np.ndarray]:
     """Smallest key ``(value, i, j, lambda_star)`` over the pairs of the tiles.
 
-    ``row_blocks`` lists blocks ``(rows, c0, c1)`` in increasing i; ``rows``
-    are sources (rows of ``probs``), a slice or an increasing index array.
-    Tile k of a block pairs them with the j in ``[c0 + k * side, c1)``, at
-    most ``side``, keeping only j > i unless it ends at or before its
-    first i.  Row i is the solver's ``p1``.  Returns the key and the codes
-    ``i * M + j`` (``_solve``) of every pair solved.
+    ``roots`` holds the square roots of the family table, one source per
+    row, and ``probs_of`` remakes the probability rows of given sources
+    (``_root_table``).  ``row_blocks`` lists blocks ``(rows, c0, c1)`` in
+    increasing i; ``rows`` are sources, a slice or an increasing index
+    array.  Tile k of a block pairs them with the j in
+    ``[c0 + k * side, c1)``, at most ``side``, keeping only j > i unless it
+    ends at or before its first i.  Row i is the solver's ``p1``.  Returns
+    the key and the codes ``i * M + j`` (``_solve``) of every pair solved.
 
     Each block first solves its pairs within ``PRUNE_MARGIN`` of zero, up to
     a block that holds a zero; then one batch solves the survivors of the
     tangent bound and the codes ``images`` maps theirs to (module docstring).
 
-    The roots of the columns the blocks span, from the first c0 to the last
-    c1, are taken once, and a block's rows are rooted for its tiles only,
-    again by each later pass that reads it.  So the call holds the table
-    ``probs``, the spanned columns' roots, one block's roots and one float
-    per tile, its largest coefficient.
+    Beside ``roots`` the call holds one block's roots, gathered again by
+    each later pass that reads the block, one float per tile, its largest
+    coefficient, and one solver chunk's remade rows.
     """
-    n = probs.shape[0]
-    base = min(c0 for _, c0, _ in row_blocks)
-    end = max(c1 for _, _, c1 in row_blocks)
-    column_roots = np.sqrt(probs[base:end])
+    n = roots.shape[0]
     positions = np.arange(n)
 
-    def coefficients(roots, i_rows, c0, c1):
+    def coefficients(held, i_rows, c0, c1):
         """Coefficients of the tile of the rows at ``i_rows``, whose square
-        roots are ``roots``, and the columns ``range(c0, c1)``."""
-        bhatta = roots @ column_roots[c0 - base:c1 - base].T
+        roots are ``held``, and the columns ``range(c0, c1)``."""
+        bhatta = held @ roots[c0:c1].T
         if c0 <= i_rows[-1] and c1 > i_rows[0]:
             # -1 lies below every coefficient and every threshold
             bhatta[np.arange(c0, c1) <= i_rows[:, None]] = -1.0
         return bhatta
 
-    def between(blocks, lo, hi, roots=None):
+    def between(blocks, lo, hi):
         """Codes of the pairs whose coefficient lies in [lo, hi), increasing.
 
         ``blocks`` lists ``(rows, c0, c1, tops)``, ``tops`` the largest
-        coefficient of each tile.  The rows of each block read are rooted
-        here, unless ``roots`` holds those of the one block given.
+        coefficient of each tile.
         """
         found = [np.empty(0, dtype=np.int64)]
         for rows, c0, c1, tops in blocks:
             starts = (c0 + side * np.flatnonzero(tops >= lo)).tolist()
             if not starts:
                 continue
-            held = np.sqrt(probs[rows]) if roots is None else roots
-            i_rows = positions[rows]
+            held, i_rows = roots[rows], positions[rows]
             for t0 in starts:
                 bhatta = coefficients(held, i_rows, t0, min(t0 + side, c1))
                 i, j = np.nonzero((bhatta >= lo) & (bhatta < hi))
                 found.append(i_rows[i] * n + j + t0)
-            del held
         return np.sort(np.concatenate(found))
 
     # A pair survives when -log BC <= incumbent + PRUNE_MARGIN, so every
@@ -326,13 +349,12 @@ def _min_pair(probs, side, row_blocks,
     zero_cut = math.exp(-PRUNE_MARGIN)
     best, solved, scanned = (math.inf, math.inf, math.inf, 0.5), [], []
     for rows, c0, c1 in row_blocks:
-        roots, i_rows = np.sqrt(probs[rows]), positions[rows]
+        held, i_rows = roots[rows], positions[rows]
         block = (rows, c0, c1, np.array([
-            coefficients(roots, i_rows, t0, min(t0 + side, c1)).max()
+            coefficients(held, i_rows, t0, min(t0 + side, c1)).max()
             for t0 in range(c0, c1, side)]))
-        codes = between([block], zero_cut, math.inf, roots)
-        del roots
-        best, codes = _solve(probs, codes, best)
+        best, codes = _solve(probs_of, n,
+                             between([block], zero_cut, math.inf), best)
         solved.append(codes)
         if best[0] == 0.0:  # no earlier block holds a zero
             return best, np.concatenate(solved)
@@ -341,14 +363,12 @@ def _min_pair(probs, side, row_blocks,
     top_coefficient = max(tops.max() for *_, tops in scanned)
     top = between(scanned, min(top_coefficient, zero_cut),
                   zero_cut)[:_SOLVE_PAIRS]
-    bound = float(tangent_bound(probs[top // n], probs[top % n]).min(
+    bound = float(tangent_bound(probs_of(top // n), probs_of(top % n)).min(
         initial=best[0]))
     codes = between(scanned, math.exp(-(bound + PRUNE_MARGIN)), zero_cut)
-    # no coefficient pass is left: free the square roots before the solve
-    column_roots = None
     codes = np.sort(np.concatenate(
         (codes, images(np.concatenate(solved + [codes])))))
-    best, codes = _solve(probs, codes, best)
+    best, codes = _solve(probs_of, n, codes, best)
     return best, np.concatenate(solved + [codes])
 
 
@@ -408,17 +428,24 @@ def closest_pair(n_rows: int, n_cols: int, profile: FlipProfile,
     first in its XOR orbit, and one batch solves the survivors with their
     images whose first source is not orbit-first; near zero the full scan
     runs instead.  The module docstring says why this is exact.
+
+    The call holds the (M, N) rows and the square roots of the family
+    table, and the scan beside them one block's gathered roots, one float
+    per tile and one solver chunk's rows, remade from the sources
+    (``_min_pair``).
     """
-    rows, probs = family_table(n_rows, n_cols, profile, max_matrices)
+    check_profile(profile, n_cols)
+    rows = family_rows(n_rows, n_cols, max_matrices)
+    roots, probs_of = _root_table(rows, profile)
     n = rows.shape[0]  # at least 2: N, L >= 1
-    side = max(1, math.isqrt(_TILE_MADDS // probs.shape[1]))
+    side = max(1, math.isqrt(_TILE_MADDS // roots.shape[1]))
     counts = _rank_counts(n_rows, n_cols)
     firsts = _orbit_firsts(rows, counts)
     best, solved = _min_pair(
-        probs, side, _upper_tiles(firsts, n, side),
+        roots, probs_of, side, _upper_tiles(firsts, n, side),
         lambda codes: _pair_images(rows, counts, codes, firsts))
     if best[0] <= PRUNE_MARGIN:
-        best, rest = _min_pair(probs, side,
+        best, rest = _min_pair(roots, probs_of, side,
                                _upper_tiles(np.arange(n), n, side))
         solved = _distinct(np.concatenate((solved, rest)))
     value, bi, bj, lam = best
@@ -444,18 +471,22 @@ def exact_error_exponent(truth: BinaryMatrix, profile: FlipProfile,
     that comes first in enumeration order.  ``rows`` is the truth's
     ``family_rows``, for a caller that already made them; otherwise they
     are made here.  The table built from them is charged to the budget.
+
+    Beside the rows the call holds the square roots of the family table,
+    one strip's coefficients against the truth and one solver chunk's
+    rows, remade from the sources (``_min_pair``).
     """
     check_profile(profile, truth.n_cols)
     if rows is None:
         rows = family_rows(truth.n_rows, truth.n_cols, max_matrices)
     n, t = rows.shape[0], family_index(rows, truth)
     _check_table(*rows.shape, truth.n_cols)
-    probs = mixture_probs_table(rows, channel_kernel(profile))
-    height = max(1, _TILE_MADDS // probs.shape[1])
+    roots, probs_of = _root_table(rows, profile)
+    height = max(1, _TILE_MADDS // roots.shape[1])
     strips = [(slice(r0, min(r0 + height, stop)), t, t + 1)
               for start, stop in ((0, t), (t + 1, n))
               for r0 in range(start, stop, height)]
-    (value, other, _, _), _ = _min_pair(probs, 1, strips)
+    (value, other, _, _), _ = _min_pair(roots, probs_of, 1, strips)
     return value, family_source(rows, other, truth.n_cols)
 
 

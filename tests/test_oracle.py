@@ -34,6 +34,11 @@ def _family_probs(n, l, profile):
     return [BinaryMatrix(tuple(r), l) for r in rows.tolist()], probs
 
 
+def _table_of(probs):
+    """A stand-in for ``_root_table`` whose sources have ``probs``."""
+    return lambda *args: (np.sqrt(probs), probs.__getitem__)
+
+
 def reference_closest_pair(n, l, profile):
     """Unpruned scan: every pair solved, lexicographic (value, i, j) minimum."""
     matrices, probs = _family_probs(n, l, profile)
@@ -263,9 +268,10 @@ class TestClosestPair:
 
     def test_many_block_answer_and_peak(self):
         # 10,659 orbit-first heads make 84 row blocks of 107,297 tiles in
-        # all.  Beside the 170,544 x 16 x 8-byte table the scan holds the
-        # square roots of the columns, the (M, N) rows and one float per
-        # tile: a Python object per tile took the peak to 3.31x.  The answer
+        # all.  The scan holds the square roots of the 170,544 x 16 x 8-byte
+        # table in its place, the (M, N) rows (0.44x), one block's gathered
+        # roots and one float per tile: a second copy of the roots took the
+        # peak to 2.56x, and a Python object per tile to 3.31x.  The answer
         # was recorded when each tile was a (c0, c1) tuple.
         table = 170544 * 16 * 8
         tracemalloc.start()
@@ -274,7 +280,7 @@ class TestClosestPair:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.8 * table
+        assert peak < 2.0 * table
         assert repr(res.min_ci) == "0.0006780782204685032"
         assert (res.pair.a.rows, res.pair.b.rows) == ((0, 0, 3, 3, 5, 5, 6),
                                                       (0, 1, 2, 3, 4, 5, 7))
@@ -336,8 +342,7 @@ class TestExactness:
         probs = np.full((len(matrices), 4), 0.25)
         probs[:, 0] += 0.05 * np.array([1, 2, 3, 3, 4, 5, 6, 6, 7, 8])
         probs[:, 1:] -= probs[:, :1] / 3 - 0.25 / 3
-        monkeypatch.setattr(bmmci.oracle, "family_table",
-                            lambda *args: (canonical_rows(2, 2), probs))
+        monkeypatch.setattr(bmmci.oracle, "_root_table", _table_of(probs))
         monkeypatch.setattr(bmmci.oracle, "_TILE_MADDS", 4 * 4)
         res = closest_pair(2, 2, FlipProfile.constant(0.1, 2))
         assert (res.min_ci, res.pair.a, res.pair.b) == (
@@ -350,11 +355,49 @@ class TestExactness:
         matrices = list(enumerate_matrices(5, 1))
         probs = np.array([[0.2, 0.8], [0.8, 0.2], [0.75, 0.25],
                           [0.5, 0.5], [0.25, 0.75], [0.6, 0.4]])
-        monkeypatch.setattr(bmmci.oracle, "family_table",
-                            lambda *args: (canonical_rows(5, 1), probs))
+        monkeypatch.setattr(bmmci.oracle, "_root_table", _table_of(probs))
         monkeypatch.setattr(bmmci.oracle, "_TILE_MADDS", 4 * 2)
         res = closest_pair(5, 1, FlipProfile.constant(0.1, 1))
         assert (res.pair.a, res.pair.b) == (matrices[0], matrices[4])
+
+    @pytest.mark.parametrize("n,l,f,truth", [
+        (3, 5, 0.3, None),
+        (4, 4, 0.0, None),
+        (3, 6, 0.2, "000000\n101000\n100100\n"),  # the exponent benchmark's
+    ])
+    def test_solver_rows_are_table_rows(self, monkeypatch, n, l, f, truth):
+        # the solver and the tangent bound read rows remade from the
+        # sources; each must be its source's row of the table, byte for byte
+        profile = FlipProfile.constant(f, l)
+        rows, table = family_table(n, l, profile, 10 ** 6)
+        index = {source: k for k, source in enumerate(map(tuple,
+                                                          rows.tolist()))}
+        remade, solved = {}, []
+        remake = bmmci.mixtures.mixture_probs_table
+
+        def recorded_remake(sources, kernel):
+            probs = remake(sources, kernel)
+            remade[id(probs)] = probs, sources
+            return probs
+
+        def recorded_solve(p1, p2):
+            solved.extend((p1, p2))
+            return chernoff_info_batch(p1, p2)
+
+        monkeypatch.setattr(bmmci.mixtures, "mixture_probs_table",
+                            recorded_remake)
+        monkeypatch.setattr(bmmci.oracle, "chernoff_info_batch",
+                            recorded_solve)
+        if truth is None:
+            closest_pair(n, l, profile)
+        else:
+            exact_error_exponent(parse_matrix_text(truth), profile)
+        assert solved
+        for probs in solved:
+            assert remade[id(probs)][0] is probs
+        for probs, sources in remade.values():
+            at = [index[source] for source in map(tuple, sources.tolist())]
+            assert probs.tobytes() == table[at].tobytes()
 
 
 @pytest.fixture
@@ -392,6 +435,8 @@ class TestOneSolve:
         # its value (0.0049) prunes; the mirrored pair (2, 3) wins
         probs = np.array([[0.002, 0.998], [0.02, 0.98], [0.451, 0.549],
                           [0.549, 0.451], [0.9, 0.1], [0.35, 0.65]])
+        # the scan reads the patched roots, the reference the patched table
+        monkeypatch.setattr(bmmci.oracle, "_root_table", _table_of(probs))
         monkeypatch.setattr(bmmci.oracle, "family_table",
                             lambda *args: (canonical_rows(5, 1), probs))
         monkeypatch.setattr(bmmci.oracle, "_TILE_MADDS", 4 * 2)
@@ -484,9 +529,10 @@ class TestOrbits:
 
     def test_cap_scale_answer_and_peak(self):
         # the answer was recorded from the full scan over all 1,046,965,920
-        # pairs; the table is 45,760 x 64 x 8 bytes, and beside it the scan
-        # holds the square roots of every row its tiles span, dropped before
-        # the final batch
+        # pairs; the table is 45,760 x 64 x 8 bytes, rooted in place, and
+        # beside it the scan holds the rows, one block's roots and the
+        # solver's rows, remade from the sources: the table beside a copy
+        # of its roots peaked at 2.07x
         profile = FlipProfile.constant(0.3, 6)
         table = 45760 * 64 * 8
         peaks = []
@@ -499,7 +545,7 @@ class TestOrbits:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < 2.1 * table
-        assert peaks[1] < 2.2 * table
+        assert peaks[1] < 1.35 * table
         assert repr(res.min_ci) == "0.00592732726964762"
         assert (res.pair.a.rows, res.pair.b.rows) == ((0, 0, 17), (0, 1, 16))
         assert res.lambda_star == 0.4999165940584744
@@ -507,8 +553,9 @@ class TestOrbits:
 
     def test_orbit_blocks_answer(self):
         # phase 1 at (4, 5) scans 1,768 orbit-first sources of 52,360 in 20
-        # row blocks of index arrays, each rooted once for its tiles;
-        # recorded when every tile gathered its rows from a rooted table
+        # row blocks of index arrays, each gathered from the root table for
+        # its tiles; recorded when every tile gathered its rows from a
+        # rooted table
         res = closest_pair(4, 5, FlipProfile.constant(0.3, 5))
         assert repr(res.min_ci) == "0.002052205792546058"
         assert (res.pair.a.rows, res.pair.b.rows) == ((0, 3, 5, 6),
@@ -552,9 +599,10 @@ class TestExactErrorExponent:
                                  FlipProfile.constant(0.1, 2))
 
     def test_peak_above_table_multiple(self):
-        # the call builds the table from the caller's rows, and beside it
-        # the strips hold the square roots of the truth's row and of one
-        # strip of 4,096 rows, not of the whole table
+        # the call builds the table from the caller's rows and roots it in
+        # place; beside it a strip of 4,096 rows holds one coefficient per
+        # row, and the solver the rows it remakes from the sources, of one
+        # chunk: the table beside one strip's roots peaked at 1.108x
         profile = FlipProfile.constant(0.2, 6)
         truth = parse_matrix_text("000000\n101000\n100100\n")
         rows = family_rows(3, 6, 10 ** 6)
@@ -564,7 +612,7 @@ class TestExactErrorExponent:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * rows.shape[0] * 64 * 8
+        assert peak <= 1.05 * rows.shape[0] * 64 * 8
 
     @pytest.mark.parametrize("n,l", [(3, 1), (2, 2)])
     def test_truth_outside_table(self, n, l):

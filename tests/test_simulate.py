@@ -761,8 +761,8 @@ class TestCommandMemory:
         return refs, alive
 
     def test_peak_within_table_multiple(self, monkeypatch, capsys):
-        # the exact phase builds the table from the rows and holds it beside
-        # the square roots of one strip of rows, and lets it go on return;
+        # the exact phase builds the table from the rows, takes its square
+        # roots in place, and lets it go on return;
         # scoring builds no table: it makes the float32 screen rows (half a
         # table) and gathers them into scoring order, then holds them,
         # their envelopes, three blocks in flight and one span's product
